@@ -54,6 +54,8 @@ class OpfSolution:
     cone_residuals: np.ndarray  # (P^2+Q^2)/v_parent - ell per line, <= 0 feasible
     exact: bool
     kkt_residual: float
+    solver_iterations: int  # interior-point iterations; 0 for the grid oracle
+    solver_status: str  # ConicResult.status of the accepted solve; "grid" (oracle)
 
 
 @dataclass
@@ -74,80 +76,65 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
     Variable layout: [q_g (M), P (N), Q (N), ell (N), v (N), (u (N) if
     elastic)]. The elastic variant relaxes the voltage band by a nonnegative
     per-bus slack u and minimizes its sum, which measures infeasibility.
+    Row i of each equality group and SOC block i belong to the line into
+    bus i+1.
     """
     n, m = model.n, model.n_inverters
     iq, iP, iQ, iL, iV = 0, m, m + n, m + 2 * n, m + 3 * n
     nx = m + 4 * n + (n if elastic else 0)
     iU = m + 4 * n
+    r, x = model.r, model.x
+    bus = np.arange(n)
+    par = model.parent - 1  # line into the parent bus; -1 at the substation
+    fed = par >= 0
+    kid, up = bus[fed], par[fed]
+    inv = np.arange(m)
 
     A = np.zeros((3 * n, nx))
-    b = np.zeros(3 * n)
-    for ln in model.lines:
-        i = ln.bus - 1
-        kids = [mm.bus - 1 for mm in model.lines if mm.parent == ln.bus]
-        # active balance: P_i - sum(P_kids) - r ell = -p
-        A[i, iP + i] = 1.0
-        for k in kids:
-            A[i, iP + k] = -1.0
-        A[i, iL + i] = -ln.r
-        b[i] = -state.p[i]
-        # reactive balance: Q_i - sum(Q_kids) - x ell + q_g(at bus) = q_c
-        A[n + i, iQ + i] = 1.0
-        for k in kids:
-            A[n + i, iQ + k] = -1.0
-        A[n + i, iL + i] = -ln.x
-        b[n + i] = state.q_c[i]
-        # voltage drop: v_i - v_parent + 2rP + 2xQ - (r^2+x^2) ell = 0
-        A[2 * n + i, iV + i] = 1.0
-        A[2 * n + i, iP + i] = 2.0 * ln.r
-        A[2 * n + i, iQ + i] = 2.0 * ln.x
-        A[2 * n + i, iL + i] = -(ln.r**2 + ln.x**2)
-        if ln.parent == 0:
-            b[2 * n + i] = model.v0
-        else:
-            A[2 * n + i, iV + ln.parent - 1] = -1.0
-    for j, inv in enumerate(model.inverters):
-        A[n + inv.bus - 1, iq + j] += 1.0
+    # active balance: P_i - sum(P_kids) - r ell = -p
+    A[bus, iP + bus] = 1.0
+    A[up, iP + kid] = -1.0
+    A[bus, iL + bus] = -r
+    # reactive balance: Q_i - sum(Q_kids) - x ell + q_g(at bus) = q_c
+    A[n + bus, iQ + bus] = 1.0
+    A[n + up, iQ + kid] = -1.0
+    A[n + bus, iL + bus] = -x
+    A[n + model.inverter_buses - 1, iq + inv] = 1.0
+    # voltage drop: v_i - v_parent + 2rP + 2xQ - (r^2+x^2) ell = 0
+    A[2 * n + bus, iV + bus] = 1.0
+    A[2 * n + bus, iP + bus] = 2.0 * r
+    A[2 * n + bus, iQ + bus] = 2.0 * x
+    A[2 * n + bus, iL + bus] = -(r**2 + x**2)
+    A[2 * n + kid, iV + up] = -1.0
+    b = np.concatenate([-state.p, state.q_c, np.where(fed, 0.0, model.v0)])
 
     n_orth = 2 * m + 2 * n + (n if elastic else 0)
-    rows = []
-    h_rows = []
-
-    def orth_row(cols, rhs):
-        row = np.zeros(nx)
-        for col, val in cols:
-            row[col] = val
-        rows.append(row)
-        h_rows.append(rhs)
-
-    for j in range(m):
-        orth_row([(iq + j, 1.0)], model.q_hi[j])
-    for j in range(m):
-        orth_row([(iq + j, -1.0)], -model.q_lo[j])
-    for i in range(n):
-        cols = [(iV + i, 1.0)] + ([(iU + i, -1.0)] if elastic else [])
-        orth_row(cols, model.v_max[i + 1])
-    for i in range(n):
-        cols = [(iV + i, -1.0)] + ([(iU + i, -1.0)] if elastic else [])
-        orth_row(cols, -model.v_min[i + 1])
+    G = np.zeros((n_orth + 4 * n, nx))
+    h = np.zeros(n_orth + 4 * n)
+    G[inv, iq + inv] = 1.0
+    h[:m] = model.q_hi
+    G[m + inv, iq + inv] = -1.0
+    h[m : 2 * m] = -model.q_lo
+    hi, lo = 2 * m + bus, 2 * m + n + bus
+    G[hi, iV + bus] = 1.0
+    h[hi] = model.v_max[1:]
+    G[lo, iV + bus] = -1.0
+    h[lo] = -model.v_min[1:]
     if elastic:
-        for i in range(n):
-            orth_row([(iU + i, -1.0)], 0.0)
+        G[hi, iU + bus] = -1.0
+        G[lo, iU + bus] = -1.0
+        G[2 * m + 2 * n + bus, iU + bus] = -1.0
 
-    for ln in model.lines:
-        i = ln.bus - 1
-        root = ln.parent == 0
-        vcol = None if root else iV + ln.parent - 1
-        # (ell + v_par, 2P, 2Q, ell - v_par) in the second-order cone
-        orth_row([(iL + i, -1.0)] + ([] if root else [(vcol, -1.0)]),
-                 model.v0 if root else 0.0)
-        orth_row([(iP + i, -2.0)], 0.0)
-        orth_row([(iQ + i, -2.0)], 0.0)
-        orth_row([(iL + i, -1.0)] + ([] if root else [(vcol, 1.0)]),
-                 -model.v0 if root else 0.0)
-
-    G = np.array(rows)
-    h = np.array(h_rows)
+    # (ell + v_par, 2P, 2Q, ell - v_par) in the second-order cone
+    head = n_orth + 4 * bus
+    G[head, iL + bus] = -1.0
+    G[head + 1, iP + bus] = -2.0
+    G[head + 2, iQ + bus] = -2.0
+    G[head + 3, iL + bus] = -1.0
+    G[head[fed], iV + up] = -1.0
+    G[head[fed] + 3, iV + up] = 1.0
+    h[head[~fed]] = model.v0
+    h[head[~fed] + 3] = -model.v0
     dims = ConeDims(nonneg=n_orth, soc=(4,) * n)
 
     c = np.zeros(nx)
@@ -159,7 +146,8 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
 
 
 def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
-             iterations: int, exact_tol: float) -> OpfSolution:
+             iterations: int, exact_tol: float,
+             status: str = "optimal") -> OpfSolution:
     n, m = model.n, model.n_inverters
     q_g = x[:m].copy()
     P = x[m : m + n].copy()
@@ -168,17 +156,22 @@ def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
     v = np.concatenate(([model.v0], x[m + 3 * n : m + 4 * n]))
     loss = float(model.r @ ell)
     slacks = _cone_slacks(model, P, Q, ell, v)
+    max_slack = float(np.max(np.abs(slacks))) if n else 0.0
+    # no power-flow sweep ran; the residual is that of the branch-flow
+    # equality at the relaxed point
     flows = PowerFlowSolution(
-        P=P, Q=Q, ell=ell, v=v, loss=loss, iterations=iterations,
-        converged=True, max_residual=kkt_residual,
+        P=P, Q=Q, ell=ell, v=v, loss=loss, iterations=0,
+        converged=True, max_residual=max_slack,
     )
     return OpfSolution(
         q_g_star=q_g,
         flows=flows,
         objective=loss,
         cone_residuals=slacks,
-        exact=bool(np.max(np.abs(slacks)) <= exact_tol) if n else True,
+        exact=max_slack <= exact_tol,
         kkt_residual=kkt_residual,
+        solver_iterations=iterations,
+        solver_status=status,
     )
 
 
@@ -191,7 +184,8 @@ def solve_baseline(
     res = solve_conic(c, G, h, dims, A, b, max_iter=opts.max_iter)
     if res.meets(opts.kkt_tol):
         kkt = max(res.pres, res.dres, res.relgap)
-        return _extract(model, res.x, kkt, res.iterations, opts.exact_tol)
+        return _extract(model, res.x, kkt, res.iterations, opts.exact_tol,
+                        res.status)
 
     # primary solve failed: measure how infeasible the band really is
     ce, Ge, he, dimse, Ae, be = _build_program(model, state, elastic=True)
@@ -265,6 +259,8 @@ def grid_search_oracle(
         cone_residuals=slacks,
         exact=True,
         kkt_residual=0.0,
+        solver_iterations=0,
+        solver_status="grid",
     )
 
 

@@ -25,8 +25,8 @@ from . import policy
 from .baseline import SolverOptions, solve_baseline, solution_row, trace_header
 from .data import load_timeseries
 from .errors import ParseError, VoltcraftError
-from .network import load_network
-from .powerflow import evaluate_loss, solve_power_flow
+from .network import GridState, load_network
+from .powerflow import evaluate_loss
 from .trainer import TrainConfig, infer, run_training
 
 _G = "%.17g"
@@ -87,14 +87,11 @@ def cmd_pf(args) -> int:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.state}: not valid JSON ({exc})") from exc
     try:
-        p = np.asarray(doc["p"], dtype=float)
-        q_c = np.asarray(doc["q_c"], dtype=float)
+        state = GridState(p=doc["p"], q_c=doc["q_c"])
         q_g = np.asarray(doc.get("q_g", np.zeros(model.n_inverters)), dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{args.state}: missing or malformed field ({exc})") from exc
-    q = -q_c
-    q[model.inverter_buses - 1] += q_g
-    sol = solve_power_flow(model, p, q)
+    sol = evaluate_loss(model, state, q_g, strict=True).solution
     print(f"converged: {sol.converged} in {sol.iterations} iterations")
     print(f"max residual: {sol.max_residual:.3e}")
     print(f"loss: {model.pu_to_kw(sol.loss):.6f} kW")

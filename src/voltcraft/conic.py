@@ -9,30 +9,61 @@ Solves the pair
 
 where K is a product of a nonnegative orthant and second-order cones
 (t, u) with t >= ||u||. Mehrotra predictor-corrector with Nesterov-Todd
-scaling; the KKT system is reduced to a symmetric quasi-definite form and
-solved dense, which is the right trade for feeder-sized problems (a few
-hundred variables).
+scaling. The scaling is stored compactly (a diagonal on the orthant, a
+scalar and a vector per second-order block) and every cone operation acts on
+all blocks at once through index arrays, so the cost of an iteration is
+linear in the number of cone rows. The KKT system is reduced to the
+quasi-definite form [[G'W^-2 G, A'], [A, 0]], whose sparsity pattern does not
+change between iterations: it is worked out once per solve, and each
+iteration scatters new values into it and factors it with SuperLU, with
+static regularization and one pass of iterative refinement.
 
 Only numpy/scipy are used; no external solver is wrapped.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 STEP_FRACTION = 0.99
+# static regularization of the reduced KKT system; the refinement pass
+# corrects the perturbation
+KKT_REG = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConeDims:
-    """Sizes of the cone blocks, orthant first, then second-order cones."""
+    """Sizes of the cone blocks, orthant first, then second-order cones.
+
+    The derived index arrays locate the second-order blocks in a cone
+    vector: `heads` holds the first entry of each block, `tails` every other
+    entry and `tail_block` the block number of each tail entry.
+    """
 
     nonneg: int = 0
     soc: tuple[int, ...] = ()
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    tail_block: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        soc = tuple(int(m) for m in self.soc)
+        if self.nonneg < 0 or any(m < 1 for m in soc):
+            raise ValueError(
+                f"need nonneg >= 0 and SOC sizes >= 1, got {self.nonneg}, {soc}"
+            )
+        sizes = np.array(soc, dtype=int)
+        heads = self.nonneg + np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(len(soc)), sizes)  # of every SOC entry
+        pos = self.nonneg + np.arange(block.size)
+        tail = pos != heads[block]
+        for name, value in (("soc", soc), ("heads", heads), ("tails", pos[tail]),
+                            ("tail_block", block[tail])):
+            object.__setattr__(self, name, value)
 
     @property
     def total(self) -> int:
@@ -74,144 +105,276 @@ class ConicResult:
 # -- Jordan-algebra helpers on the block structure -------------------------
 
 
-def _blocks(dims: ConeDims):
-    """Yield (start, stop, is_soc) for every cone block."""
-    if dims.nonneg:
-        yield 0, dims.nonneg, False
-    idx = dims.nonneg
-    for m in dims.soc:
-        yield idx, idx + m, True
-        idx += m
+def _tail_dot(u: np.ndarray, w: np.ndarray, dims: ConeDims) -> np.ndarray:
+    """Inner product of the tails of u and w, one entry per SOC block."""
+    t = dims.tails
+    return np.bincount(dims.tail_block, weights=u[t] * w[t], minlength=len(dims.soc))
 
 
 def cone_identity(dims: ConeDims) -> np.ndarray:
     e = np.zeros(dims.total)
     e[: dims.nonneg] = 1.0
-    idx = dims.nonneg
-    for m in dims.soc:
-        e[idx] = 1.0
-        idx += m
+    e[dims.heads] = 1.0
     return e
 
 
 def min_eig(u: np.ndarray, dims: ConeDims) -> float:
     """Smallest spectral value; positive iff u is strictly inside K."""
     worst = np.inf
-    for a, b, soc in _blocks(dims):
-        blk = u[a:b]
-        if soc:
-            worst = min(worst, blk[0] - np.linalg.norm(blk[1:]))
-        elif blk.size:
-            worst = min(worst, np.min(blk))
+    if dims.nonneg:
+        worst = np.min(u[: dims.nonneg])
+    if dims.soc:
+        soc = u[dims.heads] - np.sqrt(_tail_dot(u, u, dims))
+        worst = min(worst, np.min(soc))
     return worst
 
 
 def jordan_prod(u: np.ndarray, w: np.ndarray, dims: ConeDims) -> np.ndarray:
-    out = np.empty_like(u)
-    for a, b, soc in _blocks(dims):
-        if soc:
-            out[a] = u[a:b] @ w[a:b]
-            out[a + 1 : b] = u[a] * w[a + 1 : b] + w[a] * u[a + 1 : b]
-        else:
-            out[a:b] = u[a:b] * w[a:b]
+    h, t, tb = dims.heads, dims.tails, dims.tail_block
+    out = u * w
+    out[h] += _tail_dot(u, w, dims)
+    out[t] = u[h][tb] * w[t] + w[h][tb] * u[t]
     return out
 
 
 def jordan_div(lmbda: np.ndarray, d: np.ndarray, dims: ConeDims) -> np.ndarray:
     """Solve lmbda o u = d blockwise (arrow-matrix inverse on SOC blocks)."""
+    k, h, t, tb = dims.nonneg, dims.heads, dims.tails, dims.tail_block
     out = np.empty_like(d)
-    for a, b, soc in _blocks(dims):
-        if soc:
-            l0, l1 = lmbda[a], lmbda[a + 1 : b]
-            det = l0 * l0 - l1 @ l1
-            u0 = (l0 * d[a] - l1 @ d[a + 1 : b]) / det
-            out[a] = u0
-            out[a + 1 : b] = (d[a + 1 : b] - u0 * l1) / l0
-        else:
-            out[a:b] = d[a:b] / lmbda[a:b]
+    out[:k] = d[:k] / lmbda[:k]
+    l0 = lmbda[h]
+    det = l0 * l0 - _tail_dot(lmbda, lmbda, dims)
+    u0 = (l0 * d[h] - _tail_dot(lmbda, d, dims)) / det
+    out[h] = u0
+    out[t] = (d[t] - u0[tb] * lmbda[t]) / l0[tb]
     return out
 
 
 def max_step(u: np.ndarray, du: np.ndarray, dims: ConeDims) -> float:
     """Largest t with u + t*du in K (u strictly inside); inf if unbounded."""
-    t_max = np.inf
-    for a, b, soc in _blocks(dims):
-        if soc:
-            u0, u1 = u[a], u[a + 1 : b]
-            d0, d1 = du[a], du[a + 1 : b]
-            # boundary of (u0+t d0)^2 - ||u1+t d1||^2 = 0
-            qa = d0 * d0 - d1 @ d1
-            qb = 2.0 * (u0 * d0 - u1 @ d1)
-            qc = u0 * u0 - u1 @ u1
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
-                sq = np.sqrt(disc)
-                for root in ((-qb - sq), (-qb + sq)):
-                    if qa != 0.0:
-                        t = root / (2.0 * qa)
-                        if t > 0.0:
-                            t_max = min(t_max, t)
-                if qa == 0.0 and qb < 0.0:
-                    t_max = min(t_max, -qc / qb)
-            if d0 < 0.0:
-                t_max = min(t_max, -u0 / d0)
-        else:
-            neg = du[a:b] < 0.0
-            if np.any(neg):
-                t_max = min(t_max, np.min(-u[a:b][neg] / du[a:b][neg]))
-    return t_max
+    k, h = dims.nonneg, dims.heads
+    u0, d0 = u[h], du[h]
+    # boundary of (u0+t d0)^2 - ||u1+t d1||^2 = 0, every block at once
+    qa = d0 * d0 - _tail_dot(du, du, dims)
+    qb = 2.0 * (u0 * d0 - _tail_dot(u, du, dims))
+    qc = u0 * u0 - _tail_dot(u, u, dims)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # NaN where the discriminant is negative, NaN or +-inf where qa == 0;
+        # none of these lowers the minimum over the positive roots
+        sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+        roots = np.concatenate([-qb - sq, -qb + sq]) / np.tile(2.0 * qa, 2)
+        return min(
+            np.min(-u[:k] / du[:k], where=du[:k] < 0.0, initial=np.inf),
+            np.min(roots, where=roots > 0.0, initial=np.inf),
+            np.min(-qc / qb, where=(qa == 0.0) & (qb < 0.0), initial=np.inf),
+            np.min(-u0 / d0, where=d0 < 0.0, initial=np.inf),
+        )
 
 
 # -- Nesterov-Todd scaling -------------------------------------------------
 
 
+def _hyperbolic(out, u, a, f, dims: ConeDims) -> None:
+    """out_k = f_k (2 a_k (a_k'u_k) - J u_k) on every SOC block k, in place."""
+    h, t, tb = dims.heads, dims.tails, dims.tail_block
+    dot = a[h] * u[h] + _tail_dot(a, u, dims)
+    out[h] = f * (2.0 * a[h] * dot - u[h])
+    out[t] = f[tb] * (2.0 * a[t] * dot[tb] + u[t])
+
+
 @dataclass
 class _Scaling:
-    """Dense W and W^-1 for the full cone, plus the scaling point lambda.
+    """Nesterov-Todd scaling W, stored block-wise, plus the scaling point lambda.
 
     W is symmetric and satisfies W z = W^-1 s = lambda for the current
-    iterate; for the orthant it is diag(sqrt(s/z)), for each SOC block the
-    hyperbolic Householder form beta * (2 v v' - J).
+    iterate. On the orthant W = diag(w) with w = sqrt(s/z). On each SOC
+    block it is the hyperbolic Householder form beta * (2 v v' - J), with
+    J = diag(1, -1, ..., -1) and v'Jv = 1, whose inverse is
+    (2 Jv v'J - J) / beta. `v` holds the SOC vectors at their positions in
+    the cone vector (zero on the orthant).
     """
 
-    W: np.ndarray
-    Winv: np.ndarray
+    dims: ConeDims
+    w: np.ndarray
+    beta: np.ndarray
+    v: np.ndarray
     lmbda: np.ndarray
+
+    def scale(self, u: np.ndarray) -> np.ndarray:
+        """W u."""
+        k = self.dims.nonneg
+        out = np.empty_like(u)
+        out[:k] = self.w * u[:k]
+        _hyperbolic(out, u, self.v, self.beta, self.dims)
+        return out
+
+    def unscale(self, u: np.ndarray) -> np.ndarray:
+        """W^-1 u."""
+        k = self.dims.nonneg
+        out = np.empty_like(u)
+        out[:k] = u[:k] / self.w
+        Jv = self.v.copy()
+        Jv[self.dims.tails] *= -1.0
+        _hyperbolic(out, u, Jv, 1.0 / self.beta, self.dims)
+        return out
+
+    def inverse_square(self):
+        """W^-2 as (d, f, a): diag(d) plus f_k a_k a_k' on every SOC block k.
+
+        On each block W^2 = beta^2 (2 wbar wbar' - J) with the NT point wbar
+        of unit hyperbolic norm (wbar'J wbar = 1), so
+        W^-2 = (2 J wbar wbar'J - J) / beta^2; and wbar = 2 v_0 v - e follows
+        from v = (wbar + e) / sqrt(2 (wbar_0 + 1)).
+        """
+        dims = self.dims
+        k, h, t, tb = dims.nonneg, dims.heads, dims.tails, dims.tail_block
+        inv_b2 = 1.0 / (self.beta * self.beta)
+        d = np.empty(dims.total)
+        d[:k] = 1.0 / (self.w * self.w)
+        d[h] = -inv_b2
+        d[t] = inv_b2[tb]
+        a = np.zeros(dims.total)  # J wbar, zero on the orthant
+        v0 = self.v[h]
+        a[h] = 2.0 * v0 * v0 - 1.0
+        a[t] = -2.0 * v0[tb] * self.v[t]
+        return d, 2.0 * inv_b2, a
+
+    @property
+    def W(self) -> np.ndarray:
+        """Dense W, for inspection; the solver applies W block-wise."""
+        return np.column_stack([self.scale(col) for col in np.eye(self.dims.total)])
+
+    @property
+    def Winv(self) -> np.ndarray:
+        """Dense W^-1, for inspection; the solver applies it block-wise."""
+        return np.column_stack([self.unscale(col) for col in np.eye(self.dims.total)])
 
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray, dims: ConeDims) -> _Scaling:
-    m = dims.total
-    W = np.zeros((m, m))
-    Winv = np.zeros((m, m))
-    lmbda = np.empty(m)
-    for a, b, soc in _blocks(dims):
-        sk, zk = s[a:b], z[a:b]
-        if not soc:
-            w = np.sqrt(sk / zk)
-            W[a:b, a:b] = np.diag(w)
-            Winv[a:b, a:b] = np.diag(1.0 / w)
-            lmbda[a:b] = np.sqrt(sk * zk)
-            continue
-        aa = np.sqrt(sk[0] ** 2 - sk[1:] @ sk[1:])
-        bb = np.sqrt(zk[0] ** 2 - zk[1:] @ zk[1:])
-        beta = np.sqrt(aa / bb)
-        gamma = np.sqrt((1.0 + (sk @ zk) / (aa * bb)) / 2.0)
-        # NT point normalized to unit hyperbolic norm, then its square root:
-        # W^2 = (aa/bb) * (2 wbar wbar' - J) satisfies W^2 z = s, and
-        # W = beta * (2 v v' - J) with v = (wbar + e) / sqrt(2 (wbar0 + 1)).
-        wbar = np.empty(b - a)
-        wbar[0] = sk[0] / aa + zk[0] / bb
-        wbar[1:] = sk[1:] / aa - zk[1:] / bb
-        wbar /= 2.0 * gamma
-        v = wbar.copy()
-        v[0] += 1.0
-        v /= np.sqrt(2.0 * (wbar[0] + 1.0))
-        J = np.diag(np.concatenate(([1.0], -np.ones(b - a - 1))))
-        Jv = J @ v
-        W[a:b, a:b] = beta * (2.0 * np.outer(v, v) - J)
-        Winv[a:b, a:b] = (2.0 * np.outer(Jv, Jv) - J) / beta
-        lmbda[a:b] = W[a:b, a:b] @ zk
-    return _Scaling(W=W, Winv=Winv, lmbda=lmbda)
+    k, h, t, tb = dims.nonneg, dims.heads, dims.tails, dims.tail_block
+    aa = np.sqrt(s[h] ** 2 - _tail_dot(s, s, dims))
+    bb = np.sqrt(z[h] ** 2 - _tail_dot(z, z, dims))
+    beta = np.sqrt(aa / bb)
+    gamma = np.sqrt((1.0 + (s[h] * z[h] + _tail_dot(s, z, dims)) / (aa * bb)) / 2.0)
+    # NT point normalized to unit hyperbolic norm, then its square root:
+    # W^2 = (aa/bb) * (2 wbar wbar' - J) satisfies W^2 z = s, and
+    # W = beta * (2 v v' - J) with v = (wbar + e) / sqrt(2 (wbar0 + 1)).
+    wbar0 = (s[h] / aa + z[h] / bb) / (2.0 * gamma)
+    root = np.sqrt(2.0 * (wbar0 + 1.0))
+    v = np.zeros(dims.total)
+    v[h] = (wbar0 + 1.0) / root
+    v[t] = (s[t] / aa[tb] - z[t] / bb[tb]) / (2.0 * gamma[tb]) / root[tb]
+    lmbda = np.empty(dims.total)
+    lmbda[:k] = np.sqrt(s[:k] * z[:k])
+    _hyperbolic(lmbda, z, v, beta, dims)
+    return _Scaling(dims=dims, w=np.sqrt(s[:k] / z[:k]), beta=beta, v=v, lmbda=lmbda)
+
+
+# -- the reduced KKT system ------------------------------------------------
+
+
+def _group_pairs(group: np.ndarray, n_groups: int):
+    """All ordered pairs (a, b) of positions whose sorted group ids are equal."""
+    size = np.bincount(group, minlength=n_groups)
+    start = np.cumsum(size) - size
+    reps = size[group]
+    first = np.cumsum(reps) - reps  # where the pairs of each position begin
+    a = np.repeat(np.arange(group.size), reps)
+    b = np.repeat(start[group] - first, reps) + np.arange(a.size)
+    return a, b
+
+
+@dataclass
+class _KKTPattern:
+    """Fixed sparsity pattern of K = [[G'W^-2 G + delta I, A'], [A, -delta I]].
+
+    W^-2 = diag(d) + sum_k f_k a_k a_k', so G'W^-2 G couples two columns of
+    G when they have nonzeros in one row (the diagonal part), or in one SOC
+    block (the rank-one part). `slot` maps each such term, diagonal terms
+    first, to its entry of the CSC data array.
+    """
+
+    order: int
+    indices: np.ndarray
+    indptr: np.ndarray
+    base: np.ndarray  # the constant entries: A, A' and the regularization
+    reg: np.ndarray  # +delta on the x block, -delta on the y block
+    slot: np.ndarray
+    row_coef: np.ndarray  # G[i, p] G[i, q] of each same-row pair
+    row: np.ndarray  # its row i
+    soc_row: np.ndarray  # row of each nonzero of G in a SOC block
+    soc_val: np.ndarray  # its value
+    soc_col: np.ndarray  # its (block, column) index, each used at least once
+    col_a: np.ndarray  # (block, column) pairs of the rank-one part
+    col_b: np.ndarray
+    pair_block: np.ndarray  # the block of each pair
+
+
+def _nonzeros(M: np.ndarray):
+    """Row, column and value of every nonzero of M, in row-major order."""
+    flat = np.flatnonzero(M != 0.0)  # far faster than a 2-D nonzero
+    return flat // M.shape[1], flat % M.shape[1], M.ravel()[flat]
+
+
+def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
+    ny, nx = A.shape
+    N = nx + ny
+    gi, gp, gv = _nonzeros(G)  # row-major, so grouped by row and by block
+    a, b = _group_pairs(gi, dims.total)
+    row_keys = gp[b] * N + gp[a]
+
+    row_block = np.empty(dims.total, dtype=int)
+    row_block[dims.heads] = np.arange(len(dims.soc))
+    row_block[dims.tails] = dims.tail_block
+    on_soc = gi >= dims.nonneg
+    block_col, soc_col = np.unique(
+        row_block[gi[on_soc]] * nx + gp[on_soc], return_inverse=True
+    )
+    col_block = block_col // nx
+    col = block_col % nx
+    col_a, col_b = _group_pairs(col_block, len(dims.soc))
+    soc_keys = col[col_b] * N + col[col_a]
+
+    ai, ac, av = _nonzeros(A)
+    reg = np.concatenate([np.full(nx, KKT_REG), np.full(ny, -KKT_REG)])
+    diag = np.arange(N)
+    const_keys = np.concatenate([diag * N + diag, ac * N + nx + ai, (nx + ai) * N + ac])
+    keys, where = np.unique(
+        np.concatenate([row_keys, soc_keys, const_keys]), return_inverse=True
+    )
+    n_var = row_keys.size + soc_keys.size
+    return _KKTPattern(
+        order=N,
+        indices=keys % N,
+        indptr=np.searchsorted(keys, np.arange(N + 1) * N),
+        base=np.bincount(where[n_var:], weights=np.concatenate([reg, av, av]),
+                         minlength=keys.size),
+        reg=reg,
+        slot=where[:n_var],
+        row_coef=gv[a] * gv[b],
+        row=gi[a],
+        soc_row=gi[on_soc],
+        soc_val=gv[on_soc],
+        soc_col=soc_col,
+        col_a=col_a,
+        col_b=col_b,
+        pair_block=col_block[col_a],
+    )
+
+
+def _kkt_matrix(pat: _KKTPattern, sc: _Scaling) -> scipy.sparse.csc_matrix:
+    """K at scaling `sc`, scattered into the fixed pattern."""
+    d, f, a = sc.inverse_square()
+    # G_k'a_k for every block k, on the columns the block touches
+    g = np.bincount(pat.soc_col, weights=pat.soc_val * a[pat.soc_row])
+    vals = np.concatenate([
+        pat.row_coef * d[pat.row],
+        f[pat.pair_block] * g[pat.col_a] * g[pat.col_b],
+    ])
+    data = pat.base + np.bincount(pat.slot, weights=vals, minlength=pat.base.size)
+    return scipy.sparse.csc_matrix(
+        (data, pat.indices, pat.indptr), shape=(pat.order, pat.order)
+    )
 
 
 # -- the solver ------------------------------------------------------------
@@ -247,63 +410,55 @@ def solve_conic(
 
     e = cone_identity(dims)
     rank = dims.rank
+    pattern = _kkt_pattern(G, A, dims)
 
-    def kkt_factor(Winv):
-        Wi_G = Winv @ G
-        K = np.zeros((nx + ny, nx + ny))
-        K[:nx, :nx] = Wi_G.T @ Wi_G
-        K[:nx, nx:] = A.T
-        K[nx:, :nx] = A
-        # static regularization keeps the factorization alive near degenerate
-        # faces; the refinement pass corrects the perturbation
-        K[: nx + ny, : nx + ny] += np.diag(
-            np.concatenate([np.full(nx, 1e-12), np.full(ny, -1e-12)])
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            factor = scipy.linalg.lu_factor(K)
-        return factor, Wi_G
+    def kkt_factor(sc):
+        K = _kkt_matrix(pattern, sc)
+        try:
+            # a symmetric fill-reducing order with diagonal pivots suits a
+            # quasi-definite K; no supernode relaxation or panels, which
+            # only cost time on a matrix this sparse
+            factor = scipy.sparse.linalg.splu(
+                K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                relax=1, panel_size=1, options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+            raise np.linalg.LinAlgError(str(exc)) from exc
+        return factor, K
 
-    def kkt_solve(factor, Winv, Wi_G, rx, ry, rz_scaled):
+    def kkt_solve(factor, K, sc, rx, ry, rz_scaled):
         # eliminate dz from
         #   G'W^-2 G dx + A'dy = rx + G'W^-1 rz_scaled ; A dx = ry
         # where rz_scaled = W^-1 rz - lambda \ ds_target
-        rhs = np.concatenate([rx + Wi_G.T @ rz_scaled, ry])
-        sol = scipy.linalg.lu_solve(factor, rhs)
-        # one round of iterative refinement on the reduced system
-        resid = rhs - _reduced_apply(Wi_G, sol)
-        sol = sol + scipy.linalg.lu_solve(factor, resid)
+        rhs = np.concatenate([rx + G.T @ sc.unscale(rz_scaled), ry])
+        sol = factor.solve(rhs)
+        # one round of iterative refinement against the unregularized system
+        resid = rhs - (K @ sol - pattern.reg * sol)
+        sol = sol + factor.solve(resid)
         if not np.all(np.isfinite(sol)):
             raise FloatingPointError("KKT solve produced non-finite values")
         dx, dy = sol[:nx], sol[nx:]
-        dz = Winv @ (Wi_G @ dx - rz_scaled)
+        dz = sc.unscale(sc.unscale(G @ dx) - rz_scaled)
         return dx, dy, dz
-
-    def _reduced_apply(Wi_G, vec):
-        vx, vy = vec[:nx], vec[nx:]
-        top = Wi_G.T @ (Wi_G @ vx) + A.T @ vy
-        bot = A @ vx
-        return np.concatenate([top, bot])
 
     # -- starting point: least-norm primal/dual estimates nudged into K
     try:
-        factor0, Wi_G0 = kkt_factor(np.eye(m))
-        dx, dy, dz = kkt_solve(
-            factor0, np.eye(m), Wi_G0, np.zeros(nx), b, h.copy()
-        )
+        identity = _nt_scaling(e, e, dims)  # W = I
+        factor0, K0 = kkt_factor(identity)
+        dx, dy, dz = kkt_solve(factor0, K0, identity, np.zeros(nx), b, h.copy())
         x, y = dx, dy
         s = h - G @ x
         me = min_eig(s, dims)
         if me <= 0.0:
             s = s + (1.0 + abs(me)) * e
         dx, dy, dz = kkt_solve(
-            factor0, np.eye(m), Wi_G0, -c, np.zeros(ny), np.zeros(m)
+            factor0, K0, identity, -c, np.zeros(ny), np.zeros(m)
         )
         z = dz
         me = min_eig(z, dims)
         if me <= 0.0:
             z = z + (1.0 + abs(me)) * e
-    except (scipy.linalg.LinAlgError, FloatingPointError, ValueError):
+    except (np.linalg.LinAlgError, FloatingPointError, ValueError):
         return ConicResult(
             x=np.full(nx, np.nan), s=np.full(m, np.nan), y=np.full(ny, np.nan),
             z=np.full(m, np.nan), status="numerical", iterations=0,
@@ -332,12 +487,12 @@ def solve_conic(
 
         try:
             sc = _nt_scaling(s, z, dims)
-            factor, Wi_G = kkt_factor(sc.Winv)
+            factor, K = kkt_factor(sc)
 
             # predictor: pure Newton direction toward the central path at 0
             target = -jordan_prod(sc.lmbda, sc.lmbda, dims)
-            rz_scaled = sc.Winv @ (-rg) - jordan_div(sc.lmbda, target, dims)
-            dxa, dya, dza = kkt_solve(factor, sc.Winv, Wi_G, -rd, -rp, rz_scaled)
+            rz_scaled = sc.unscale(-rg) - jordan_div(sc.lmbda, target, dims)
+            dxa, dya, dza = kkt_solve(factor, K, sc, -rd, -rp, rz_scaled)
             dsa = -rg - G @ dxa
 
             alpha_p = max_step(s, dsa, dims)
@@ -347,15 +502,15 @@ def solve_conic(
             sigma = max(0.0, min(1.0, gap_aff / gap)) ** 3
 
             # corrector with Mehrotra second-order term
-            eta = jordan_prod(sc.Winv @ dsa, sc.W @ dza, dims)
+            eta = jordan_prod(sc.unscale(dsa), sc.scale(dza), dims)
             target = -jordan_prod(sc.lmbda, sc.lmbda, dims) - eta + sigma * mu * e
             scale = 1.0 - sigma
-            rz_scaled = sc.Winv @ (-scale * rg) - jordan_div(sc.lmbda, target, dims)
+            rz_scaled = sc.unscale(-scale * rg) - jordan_div(sc.lmbda, target, dims)
             dx, dy, dz = kkt_solve(
-                factor, sc.Winv, Wi_G, -scale * rd, -scale * rp, rz_scaled
+                factor, K, sc, -scale * rd, -scale * rp, rz_scaled
             )
             ds = -scale * rg - G @ dx
-        except (scipy.linalg.LinAlgError, FloatingPointError, ValueError):
+        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
             status = "numerical"
             break
 

@@ -3,7 +3,9 @@
 These deliberately avoid the package's solver internals: the two-bus case is
 a closed-form quadratic, and the general case runs a successive-substitution
 sweep on complex phasors (voltages and currents) rather than on the squared
-branch-flow variables.
+branch-flow variables. The cone operations and the Nesterov-Todd scaling are
+the interior-point solver's original versions, one cone block at a time with
+dense blocks, kept as references for its vectorised ones.
 """
 
 from __future__ import annotations
@@ -140,3 +142,113 @@ def dmu_expectation_quad(f, mu, sigma, lo, hi, h=1e-5):
         return val / mass
 
     return (expect(mu + h) - expect(mu - h)) / (2.0 * h)
+
+
+# -- cone operations, one block at a time (loop references) ---------------
+
+
+def cone_blocks(dims):
+    """Yield (start, stop, is_soc) for every cone block."""
+    if dims.nonneg:
+        yield 0, dims.nonneg, False
+    idx = dims.nonneg
+    for m in dims.soc:
+        yield idx, idx + m, True
+        idx += m
+
+
+def min_eig_loop(u, dims):
+    worst = np.inf
+    for a, b, soc in cone_blocks(dims):
+        blk = u[a:b]
+        if soc:
+            worst = min(worst, blk[0] - np.linalg.norm(blk[1:]))
+        elif blk.size:
+            worst = min(worst, np.min(blk))
+    return worst
+
+
+def jordan_prod_loop(u, w, dims):
+    out = np.empty_like(u)
+    for a, b, soc in cone_blocks(dims):
+        if soc:
+            out[a] = u[a:b] @ w[a:b]
+            out[a + 1 : b] = u[a] * w[a + 1 : b] + w[a] * u[a + 1 : b]
+        else:
+            out[a:b] = u[a:b] * w[a:b]
+    return out
+
+
+def jordan_div_loop(lmbda, d, dims):
+    out = np.empty_like(d)
+    for a, b, soc in cone_blocks(dims):
+        if soc:
+            l0, l1 = lmbda[a], lmbda[a + 1 : b]
+            det = l0 * l0 - l1 @ l1
+            u0 = (l0 * d[a] - l1 @ d[a + 1 : b]) / det
+            out[a] = u0
+            out[a + 1 : b] = (d[a + 1 : b] - u0 * l1) / l0
+        else:
+            out[a:b] = d[a:b] / lmbda[a:b]
+    return out
+
+
+def max_step_loop(u, du, dims):
+    t_max = np.inf
+    for a, b, soc in cone_blocks(dims):
+        if soc:
+            u0, u1 = u[a], u[a + 1 : b]
+            d0, d1 = du[a], du[a + 1 : b]
+            qa = d0 * d0 - d1 @ d1
+            qb = 2.0 * (u0 * d0 - u1 @ d1)
+            qc = u0 * u0 - u1 @ u1
+            disc = qb * qb - 4.0 * qa * qc
+            if disc >= 0.0:
+                sq = np.sqrt(disc)
+                for root in ((-qb - sq), (-qb + sq)):
+                    if qa != 0.0:
+                        t = root / (2.0 * qa)
+                        if t > 0.0:
+                            t_max = min(t_max, t)
+                if qa == 0.0 and qb < 0.0:
+                    t_max = min(t_max, -qc / qb)
+            if d0 < 0.0:
+                t_max = min(t_max, -u0 / d0)
+        else:
+            neg = du[a:b] < 0.0
+            if np.any(neg):
+                t_max = min(t_max, np.min(-u[a:b][neg] / du[a:b][neg]))
+    return t_max
+
+
+def nt_scaling_dense(s, z, dims):
+    """Dense Nesterov-Todd W, W^-1 and lambda = W z, built block by block."""
+    m = dims.total
+    W = np.zeros((m, m))
+    Winv = np.zeros((m, m))
+    lmbda = np.empty(m)
+    for a, b, soc in cone_blocks(dims):
+        sk, zk = s[a:b], z[a:b]
+        if not soc:
+            w = np.sqrt(sk / zk)
+            W[a:b, a:b] = np.diag(w)
+            Winv[a:b, a:b] = np.diag(1.0 / w)
+            lmbda[a:b] = np.sqrt(sk * zk)
+            continue
+        aa = np.sqrt(sk[0] ** 2 - sk[1:] @ sk[1:])
+        bb = np.sqrt(zk[0] ** 2 - zk[1:] @ zk[1:])
+        beta = np.sqrt(aa / bb)
+        gamma = np.sqrt((1.0 + (sk @ zk) / (aa * bb)) / 2.0)
+        wbar = np.empty(b - a)
+        wbar[0] = sk[0] / aa + zk[0] / bb
+        wbar[1:] = sk[1:] / aa - zk[1:] / bb
+        wbar /= 2.0 * gamma
+        v = wbar.copy()
+        v[0] += 1.0
+        v /= np.sqrt(2.0 * (wbar[0] + 1.0))
+        J = np.diag(np.concatenate(([1.0], -np.ones(b - a - 1))))
+        Jv = J @ v
+        W[a:b, a:b] = beta * (2.0 * np.outer(v, v) - J)
+        Winv[a:b, a:b] = (2.0 * np.outer(Jv, Jv) - J) / beta
+        lmbda[a:b] = W[a:b, a:b] @ zk
+    return W, Winv, lmbda

@@ -82,6 +82,20 @@ def test_pf_missing_field_error_record(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize(
+    "q_g, error",
+    [([0.0, 0.0, 0.0], "DimensionMismatch"), ([5.0, 5.0], "ActionOutOfBounds")],
+    ids=["wrong-length", "out-of-box"],
+)
+def test_pf_bad_setpoints_error_record(tmp_path, capsys, q_g, error):
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"p": [-0.01] * 5, "q_c": [0.005] * 5, "q_g": q_g}))
+    assert main(["pf", "--network", FEEDER6, "--state", str(state)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == error
+    assert "max |V|" not in captured.out
+
+
 def test_baseline_csv_columns_and_rows(tmp_path, day_csv, capsys):
     out = tmp_path / "base.csv"
     rc = main([
