@@ -79,6 +79,7 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
     Row i of each equality group and SOC block i belong to the line into
     bus i+1.
     """
+    model.check_state(state)
     n, m = model.n, model.n_inverters
     iq, iP, iQ, iL, iV = 0, m, m + n, m + 2 * n, m + 3 * n
     nx = m + 4 * n + (n if elastic else 0)

@@ -15,8 +15,10 @@ all blocks at once through index arrays, so the cost of an iteration is
 linear in the number of cone rows. The KKT system is reduced to the
 quasi-definite form [[G'W^-2 G, A'], [A, 0]], whose sparsity pattern does not
 change between iterations: it is worked out once per solve, and each
-iteration scatters new values into it and factors it with SuperLU, with
-static regularization and one pass of iterative refinement.
+iteration writes new values into the data array of the one CSC matrix built
+per solve and factors it with SuperLU, with static regularization and one pass
+of iterative refinement. The constraint products use CSR copies of G, G', A
+and A', also made once per solve.
 
 Only numpy/scipy are used; no external solver is wrapped.
 """
@@ -24,6 +26,7 @@ Only numpy/scipy are used; no external solver is wrapped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -41,7 +44,10 @@ class ConeDims:
 
     The derived index arrays locate the second-order blocks in a cone
     vector: `heads` holds the first entry of each block, `tails` every other
-    entry and `tail_block` the block number of each tail entry.
+    entry and `tail_block` the block number of each tail entry. On u[nonneg:],
+    all SOC entries, `block` gives the block number, `sign` the diagonal of
+    J = diag(1, -1, ..., -1) and `block3` the block of three such slices
+    laid end to end, for per-block sums of three terms in one bincount.
     """
 
     nonneg: int = 0
@@ -49,6 +55,9 @@ class ConeDims:
     heads: np.ndarray = field(init=False, repr=False, compare=False)
     tails: np.ndarray = field(init=False, repr=False, compare=False)
     tail_block: np.ndarray = field(init=False, repr=False, compare=False)
+    block: np.ndarray = field(init=False, repr=False, compare=False)
+    sign: np.ndarray = field(init=False, repr=False, compare=False)
+    block3: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         soc = tuple(int(m) for m in self.soc)
@@ -61,8 +70,10 @@ class ConeDims:
         block = np.repeat(np.arange(len(soc)), sizes)  # of every SOC entry
         pos = self.nonneg + np.arange(block.size)
         tail = pos != heads[block]
+        block3 = np.concatenate([block + j * len(soc) for j in range(3)])
         for name, value in (("soc", soc), ("heads", heads), ("tails", pos[tail]),
-                            ("tail_block", block[tail])):
+                            ("tail_block", block[tail]), ("block", block),
+                            ("sign", np.where(tail, -1.0, 1.0)), ("block3", block3)):
             object.__setattr__(self, name, value)
 
     @property
@@ -120,13 +131,8 @@ def cone_identity(dims: ConeDims) -> np.ndarray:
 
 def min_eig(u: np.ndarray, dims: ConeDims) -> float:
     """Smallest spectral value; positive iff u is strictly inside K."""
-    worst = np.inf
-    if dims.nonneg:
-        worst = np.min(u[: dims.nonneg])
-    if dims.soc:
-        soc = u[dims.heads] - np.sqrt(_tail_dot(u, u, dims))
-        worst = min(worst, np.min(soc))
-    return worst
+    soc = u[dims.heads] - np.sqrt(_tail_dot(u, u, dims))
+    return np.concatenate([u[: dims.nonneg], soc]).min(initial=np.inf)
 
 
 def jordan_prod(u: np.ndarray, w: np.ndarray, dims: ConeDims) -> np.ndarray:
@@ -150,25 +156,34 @@ def jordan_div(lmbda: np.ndarray, d: np.ndarray, dims: ConeDims) -> np.ndarray:
     return out
 
 
+def _soc_sums(dims: ConeDims, *terms: np.ndarray) -> np.ndarray:
+    """Sum over each SOC block of each of three terms given on the SOC entries."""
+    nb = len(dims.soc)
+    return np.bincount(dims.block3, weights=np.concatenate(terms),
+                       minlength=3 * nb).reshape(3, nb)
+
+
 def max_step(u: np.ndarray, du: np.ndarray, dims: ConeDims) -> float:
     """Largest t with u + t*du in K (u strictly inside); inf if unbounded."""
-    k, h = dims.nonneg, dims.heads
-    u0, d0 = u[h], du[h]
-    # boundary of (u0+t d0)^2 - ||u1+t d1||^2 = 0, every block at once
-    qa = d0 * d0 - _tail_dot(du, du, dims)
-    qb = 2.0 * (u0 * d0 - _tail_dot(u, du, dims))
-    qc = u0 * u0 - _tail_dot(u, u, dims)
+    k, h, sgn = dims.nonneg, dims.heads, dims.sign
+    us, ds = u[k:], du[k:]
+    sd = sgn * ds
+    # boundary of (u0+t d0)^2 - ||u1+t d1||^2 = qa t^2 + qb t + qc = 0
+    qa, qb, qc = _soc_sums(dims, sd * ds, 2.0 * sd * us, sgn * us * us)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # NaN where the discriminant is negative, NaN or +-inf where qa == 0;
-        # none of these lowers the minimum over the positive roots
         sq = np.sqrt(qb * qb - 4.0 * qa * qc)
-        roots = np.concatenate([-qb - sq, -qb + sq]) / np.tile(2.0 * qa, 2)
-        return min(
-            np.min(-u[:k] / du[:k], where=du[:k] < 0.0, initial=np.inf),
-            np.min(roots, where=roots > 0.0, initial=np.inf),
-            np.min(-qc / qb, where=(qa == 0.0) & (qb < 0.0), initial=np.inf),
-            np.min(-u0 / d0, where=d0 < 0.0, initial=np.inf),
-        )
+        two_qa = 2.0 * qa
+        t = np.concatenate([
+            -u[:k] / du[:k],
+            (-qb - sq) / two_qa,
+            (sq - qb) / two_qa,
+            np.where(qa == 0.0, -qc / qb, np.nan),  # the root of a linear qa = 0
+            -u[h] / du[h],
+        ])
+    # u is strictly inside K, so a candidate is positive iff its crossing lies
+    # ahead (du < 0 on the orthant, d0 < 0 at a head, qb < 0 for the linear
+    # root); NaN, from a negative discriminant or qa == 0, never is
+    return np.where(t > 0.0, t, np.inf).min(initial=np.inf)
 
 
 # -- Nesterov-Todd scaling -------------------------------------------------
@@ -176,10 +191,10 @@ def max_step(u: np.ndarray, du: np.ndarray, dims: ConeDims) -> float:
 
 def _hyperbolic(out, u, a, f, dims: ConeDims) -> None:
     """out_k = f_k (2 a_k (a_k'u_k) - J u_k) on every SOC block k, in place."""
-    h, t, tb = dims.heads, dims.tails, dims.tail_block
-    dot = a[h] * u[h] + _tail_dot(a, u, dims)
-    out[h] = f * (2.0 * a[h] * dot - u[h])
-    out[t] = f[tb] * (2.0 * a[t] * dot[tb] + u[t])
+    k, blk = dims.nonneg, dims.block
+    us, a_s = u[k:], a[k:]
+    dot = np.bincount(blk, weights=a_s * us, minlength=len(dims.soc))
+    out[k:] = f[blk] * (2.0 * a_s * dot[blk] - dims.sign * us)
 
 
 @dataclass
@@ -199,6 +214,13 @@ class _Scaling:
     beta: np.ndarray
     v: np.ndarray
     lmbda: np.ndarray
+    Jv: np.ndarray = field(init=False, repr=False)
+    inv_beta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.Jv = self.v.copy()
+        self.Jv[self.dims.nonneg :] *= self.dims.sign
+        self.inv_beta = 1.0 / self.beta
 
     def scale(self, u: np.ndarray) -> np.ndarray:
         """W u."""
@@ -213,11 +235,10 @@ class _Scaling:
         k = self.dims.nonneg
         out = np.empty_like(u)
         out[:k] = u[:k] / self.w
-        Jv = self.v.copy()
-        Jv[self.dims.tails] *= -1.0
-        _hyperbolic(out, u, Jv, 1.0 / self.beta, self.dims)
+        _hyperbolic(out, u, self.Jv, self.inv_beta, self.dims)
         return out
 
+    @cached_property
     def inverse_square(self):
         """W^-2 as (d, f, a): diag(d) plus f_k a_k a_k' on every SOC block k.
 
@@ -227,17 +248,23 @@ class _Scaling:
         from v = (wbar + e) / sqrt(2 (wbar_0 + 1)).
         """
         dims = self.dims
-        k, h, t, tb = dims.nonneg, dims.heads, dims.tails, dims.tail_block
-        inv_b2 = 1.0 / (self.beta * self.beta)
+        k, h, blk = dims.nonneg, dims.heads, dims.block
+        inv_b2 = self.inv_beta * self.inv_beta
         d = np.empty(dims.total)
         d[:k] = 1.0 / (self.w * self.w)
-        d[h] = -inv_b2
-        d[t] = inv_b2[tb]
+        d[k:] = -dims.sign * inv_b2[blk]
         a = np.zeros(dims.total)  # J wbar, zero on the orthant
         v0 = self.v[h]
+        a[k:] = -2.0 * v0[blk] * self.v[k:]
         a[h] = 2.0 * v0 * v0 - 1.0
-        a[t] = -2.0 * v0[tb] * self.v[t]
         return d, 2.0 * inv_b2, a
+
+    def unscale2(self, u: np.ndarray) -> np.ndarray:
+        """W^-2 u in one pass, as (2 a_k a_k' - J) / beta_k^2 on each block."""
+        d, f, a = self.inverse_square
+        out = d * u
+        _hyperbolic(out, u, a, 0.5 * f, self.dims)
+        return out
 
     @property
     def W(self) -> np.ndarray:
@@ -251,19 +278,21 @@ class _Scaling:
 
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray, dims: ConeDims) -> _Scaling:
-    k, h, t, tb = dims.nonneg, dims.heads, dims.tails, dims.tail_block
-    aa = np.sqrt(s[h] ** 2 - _tail_dot(s, s, dims))
-    bb = np.sqrt(z[h] ** 2 - _tail_dot(z, z, dims))
+    k, blk, sgn = dims.nonneg, dims.block, dims.sign
+    s1, z1 = s[k:], z[k:]
+    ss, zz, sz = _soc_sums(dims, sgn * s1 * s1, sgn * z1 * z1, s1 * z1)
+    aa, bb = np.sqrt(ss), np.sqrt(zz)
     beta = np.sqrt(aa / bb)
-    gamma = np.sqrt((1.0 + (s[h] * z[h] + _tail_dot(s, z, dims)) / (aa * bb)) / 2.0)
+    gamma = np.sqrt((1.0 + sz / (aa * bb)) / 2.0)
     # NT point normalized to unit hyperbolic norm, then its square root:
     # W^2 = (aa/bb) * (2 wbar wbar' - J) satisfies W^2 z = s, and
     # W = beta * (2 v v' - J) with v = (wbar + e) / sqrt(2 (wbar0 + 1)).
-    wbar0 = (s[h] / aa + z[h] / bb) / (2.0 * gamma)
-    root = np.sqrt(2.0 * (wbar0 + 1.0))
+    wbar = (s1 / aa[blk] + sgn * z1 / bb[blk]) / (2.0 * gamma[blk])
+    h = dims.heads - k  # the heads within the SOC entries
+    root = np.sqrt(2.0 * (wbar[h] + 1.0))
+    wbar[h] += 1.0
     v = np.zeros(dims.total)
-    v[h] = (wbar0 + 1.0) / root
-    v[t] = (s[t] / aa[tb] - z[t] / bb[tb]) / (2.0 * gamma[tb]) / root[tb]
+    v[k:] = wbar / root[blk]
     lmbda = np.empty(dims.total)
     lmbda[:k] = np.sqrt(s[:k] * z[:k])
     _hyperbolic(lmbda, z, v, beta, dims)
@@ -291,7 +320,8 @@ class _KKTPattern:
     W^-2 = diag(d) + sum_k f_k a_k a_k', so G'W^-2 G couples two columns of
     G when they have nonzeros in one row (the diagonal part), or in one SOC
     block (the rank-one part). `slot` maps each such term, diagonal terms
-    first, to its entry of the CSC data array.
+    first, to its entry of the CSC data array. G, G', A and A' ride along in
+    CSR form for the products of each iteration.
     """
 
     order: int
@@ -308,12 +338,22 @@ class _KKTPattern:
     col_a: np.ndarray  # (block, column) pairs of the rank-one part
     col_b: np.ndarray
     pair_block: np.ndarray  # the block of each pair
+    G: scipy.sparse.csr_matrix
+    GT: scipy.sparse.csr_matrix
+    A: scipy.sparse.csr_matrix
+    AT: scipy.sparse.csr_matrix
 
 
 def _nonzeros(M: np.ndarray):
     """Row, column and value of every nonzero of M, in row-major order."""
     flat = np.flatnonzero(M != 0.0)  # far faster than a 2-D nonzero
     return flat // M.shape[1], flat % M.shape[1], M.ravel()[flat]
+
+
+def _csr(rows, cols, vals, shape):
+    """CSR matrix from its nonzeros, sorted by row."""
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return scipy.sparse.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
@@ -323,12 +363,9 @@ def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
     a, b = _group_pairs(gi, dims.total)
     row_keys = gp[b] * N + gp[a]
 
-    row_block = np.empty(dims.total, dtype=int)
-    row_block[dims.heads] = np.arange(len(dims.soc))
-    row_block[dims.tails] = dims.tail_block
     on_soc = gi >= dims.nonneg
     block_col, soc_col = np.unique(
-        row_block[gi[on_soc]] * nx + gp[on_soc], return_inverse=True
+        dims.block[gi[on_soc] - dims.nonneg] * nx + gp[on_soc], return_inverse=True
     )
     col_block = block_col // nx
     col = block_col % nx
@@ -343,6 +380,7 @@ def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
         np.concatenate([row_keys, soc_keys, const_keys]), return_inverse=True
     )
     n_var = row_keys.size + soc_keys.size
+    gt, at = np.argsort(gp, kind="stable"), np.argsort(ac, kind="stable")  # by column
     return _KKTPattern(
         order=N,
         indices=keys % N,
@@ -359,22 +397,30 @@ def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
         col_a=col_a,
         col_b=col_b,
         pair_block=col_block[col_a],
+        G=_csr(gi, gp, gv, G.shape), GT=_csr(gp[gt], gi[gt], gv[gt], G.T.shape),
+        A=_csr(ai, ac, av, A.shape), AT=_csr(ac[at], ai[at], av[at], A.T.shape),
     )
 
 
 def _kkt_matrix(pat: _KKTPattern, sc: _Scaling) -> scipy.sparse.csc_matrix:
-    """K at scaling `sc`, scattered into the fixed pattern."""
-    d, f, a = sc.inverse_square()
+    """K at scaling `sc` on the fixed pattern."""
+    K = scipy.sparse.csc_matrix((np.empty(pat.base.size), pat.indices, pat.indptr),
+                                shape=(pat.order, pat.order))
+    _kkt_refresh(K, pat, sc)
+    return K
+
+
+def _kkt_refresh(K: scipy.sparse.csc_matrix, pat: _KKTPattern, sc: _Scaling) -> None:
+    """Overwrite the values of K, built by _kkt_matrix, with those at `sc`."""
+    d, f, a = sc.inverse_square
     # G_k'a_k for every block k, on the columns the block touches
     g = np.bincount(pat.soc_col, weights=pat.soc_val * a[pat.soc_row])
     vals = np.concatenate([
         pat.row_coef * d[pat.row],
         f[pat.pair_block] * g[pat.col_a] * g[pat.col_b],
     ])
-    data = pat.base + np.bincount(pat.slot, weights=vals, minlength=pat.base.size)
-    return scipy.sparse.csc_matrix(
-        (data, pat.indices, pat.indptr), shape=(pat.order, pat.order)
-    )
+    np.add(pat.base, np.bincount(pat.slot, weights=vals, minlength=pat.base.size),
+           out=K.data)
 
 
 # -- the solver ------------------------------------------------------------
@@ -411,53 +457,47 @@ def solve_conic(
     e = cone_identity(dims)
     rank = dims.rank
     pattern = _kkt_pattern(G, A, dims)
+    G, GT, A, AT = pattern.G, pattern.GT, pattern.A, pattern.AT
 
-    def kkt_factor(sc):
-        K = _kkt_matrix(pattern, sc)
+    def kkt_factor():
         try:
             # a symmetric fill-reducing order with diagonal pivots suits a
             # quasi-definite K; no supernode relaxation or panels, which
             # only cost time on a matrix this sparse
-            factor = scipy.sparse.linalg.splu(
+            return scipy.sparse.linalg.splu(
                 K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 relax=1, panel_size=1, options={"SymmetricMode": True},
             )
         except RuntimeError as exc:  # SuperLU: the factor is exactly singular
             raise np.linalg.LinAlgError(str(exc)) from exc
-        return factor, K
 
-    def kkt_solve(factor, K, sc, rx, ry, rz_scaled):
-        # eliminate dz from
+    def kkt_solve(factor, sc, rx, ry, rz_scaled):
+        # eliminate dz = W^-1 (W^-1 G dx - rz_scaled) from
         #   G'W^-2 G dx + A'dy = rx + G'W^-1 rz_scaled ; A dx = ry
         # where rz_scaled = W^-1 rz - lambda \ ds_target
-        rhs = np.concatenate([rx + G.T @ sc.unscale(rz_scaled), ry])
+        w_rz = sc.unscale(rz_scaled)
+        rhs = np.concatenate([rx + GT @ w_rz, ry])
         sol = factor.solve(rhs)
         # one round of iterative refinement against the unregularized system
         resid = rhs - (K @ sol - pattern.reg * sol)
         sol = sol + factor.solve(resid)
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             raise FloatingPointError("KKT solve produced non-finite values")
         dx, dy = sol[:nx], sol[nx:]
-        dz = sc.unscale(sc.unscale(G @ dx) - rz_scaled)
-        return dx, dy, dz
+        return dx, dy, sc.unscale2(G @ dx) - w_rz
+
+    def into_cone(u):
+        me = min_eig(u, dims)
+        return u if me > 0.0 else u + (1.0 + abs(me)) * e
 
     # -- starting point: least-norm primal/dual estimates nudged into K
     try:
         identity = _nt_scaling(e, e, dims)  # W = I
-        factor0, K0 = kkt_factor(identity)
-        dx, dy, dz = kkt_solve(factor0, K0, identity, np.zeros(nx), b, h.copy())
-        x, y = dx, dy
-        s = h - G @ x
-        me = min_eig(s, dims)
-        if me <= 0.0:
-            s = s + (1.0 + abs(me)) * e
-        dx, dy, dz = kkt_solve(
-            factor0, K0, identity, -c, np.zeros(ny), np.zeros(m)
-        )
-        z = dz
-        me = min_eig(z, dims)
-        if me <= 0.0:
-            z = z + (1.0 + abs(me)) * e
+        K = _kkt_matrix(pattern, identity)  # each iteration refreshes its values
+        factor = kkt_factor()
+        x, y, _ = kkt_solve(factor, identity, np.zeros(nx), b, h)
+        s = into_cone(h - G @ x)
+        z = into_cone(kkt_solve(factor, identity, -c, np.zeros(ny), np.zeros(m))[2])
     except (np.linalg.LinAlgError, FloatingPointError, ValueError):
         return ConicResult(
             x=np.full(nx, np.nan), s=np.full(m, np.nan), y=np.full(ny, np.nan),
@@ -469,30 +509,32 @@ def solve_conic(
     hnorm = max(1.0, np.linalg.norm(h))
     cnorm = max(1.0, np.linalg.norm(c))
 
+    def residuals():
+        rd, rp, rg = c + AT @ y + GT @ z, A @ x - b, G @ x + s - h
+        gap, pobj = s @ z, c @ x
+        pres = max(np.linalg.norm(rp) / bnorm, np.linalg.norm(rg) / hnorm)
+        dres = np.linalg.norm(rd) / cnorm
+        return rd, rp, rg, gap, pobj, pres, dres, gap / max(1.0, abs(pobj))
+
     status = "max_iterations"
     it = 0
     for it in range(1, max_iter + 1):
-        rd = c + A.T @ y + G.T @ z
-        rp = A @ x - b
-        rg = G @ x + s - h
-        gap = s @ z
-        mu = gap / rank
-        pobj = c @ x
-        pres = max(np.linalg.norm(rp) / bnorm, np.linalg.norm(rg) / hnorm)
-        dres = np.linalg.norm(rd) / cnorm
-        relgap = gap / max(1.0, abs(pobj))
+        rd, rp, rg, gap, pobj, pres, dres, relgap = residuals()
         if pres <= feastol and dres <= feastol and (gap <= abstol or relgap <= reltol):
             status = "optimal"
             break
+        mu = gap / rank
 
         try:
             sc = _nt_scaling(s, z, dims)
-            factor, K = kkt_factor(sc)
+            lmbda = sc.lmbda
+            _kkt_refresh(K, pattern, sc)
+            factor = kkt_factor()
 
-            # predictor: pure Newton direction toward the central path at 0
-            target = -jordan_prod(sc.lmbda, sc.lmbda, dims)
-            rz_scaled = sc.unscale(-rg) - jordan_div(sc.lmbda, target, dims)
-            dxa, dya, dza = kkt_solve(factor, K, sc, -rd, -rp, rz_scaled)
+            # predictor: pure Newton direction toward the central path at 0,
+            # whose ds target -lambda o lambda gives lambda \ target = -lambda
+            w_rg = sc.unscale(-rg)
+            dxa, dya, dza = kkt_solve(factor, sc, -rd, -rp, w_rg + lmbda)
             dsa = -rg - G @ dxa
 
             alpha_p = max_step(s, dsa, dims)
@@ -503,12 +545,10 @@ def solve_conic(
 
             # corrector with Mehrotra second-order term
             eta = jordan_prod(sc.unscale(dsa), sc.scale(dza), dims)
-            target = -jordan_prod(sc.lmbda, sc.lmbda, dims) - eta + sigma * mu * e
+            target = -jordan_prod(lmbda, lmbda, dims) - eta + sigma * mu * e
             scale = 1.0 - sigma
-            rz_scaled = sc.unscale(-scale * rg) - jordan_div(sc.lmbda, target, dims)
-            dx, dy, dz = kkt_solve(
-                factor, K, sc, -scale * rd, -scale * rp, rz_scaled
-            )
+            rz_scaled = scale * w_rg - jordan_div(lmbda, target, dims)
+            dx, dy, dz = kkt_solve(factor, sc, -scale * rd, -scale * rp, rz_scaled)
             ds = -scale * rg - G @ dx
         except (np.linalg.LinAlgError, FloatingPointError, ValueError):
             status = "numerical"
@@ -526,21 +566,8 @@ def solve_conic(
             break
         x, y, z, s = x_n, y_n, z_n, s_n
 
-    rd = c + A.T @ y + G.T @ z
-    rp = A @ x - b
-    rg = G @ x + s - h
-    gap = float(s @ z)
-    pobj = float(c @ x)
+    *_, gap, pobj, pres, dres, relgap = residuals()
     return ConicResult(
-        x=x,
-        s=s,
-        y=y,
-        z=z,
-        status=status,
-        iterations=it,
-        gap=gap,
-        pres=float(max(np.linalg.norm(rp) / bnorm, np.linalg.norm(rg) / hnorm)),
-        dres=float(np.linalg.norm(rd) / cnorm),
-        relgap=float(gap / max(1.0, abs(pobj))),
-        pobj=pobj,
+        x=x, s=s, y=y, z=z, status=status, iterations=it, gap=float(gap),
+        pres=float(pres), dres=float(dres), relgap=float(relgap), pobj=float(pobj),
     )

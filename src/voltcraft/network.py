@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CapabilityError,
+    DimensionMismatch,
     ParseError,
     TopologyError,
     UnitError,
@@ -230,6 +231,13 @@ class NetworkModel:
             raise UnknownBus(f"no bus {bus} in a model with buses 0..{self.n}")
         return {ln.bus for ln in self.lines if ln.parent == bus}
 
+    def check_state(self, state: GridState) -> None:
+        """Raise DimensionMismatch unless `state` has one entry per non-root bus."""
+        if state.p.shape != (self.n,):
+            raise DimensionMismatch(
+                f"state has {state.p.shape[0]} buses, model has {self.n}"
+            )
+
     def kw_to_pu(self, value_kw):
         return np.asarray(value_kw, dtype=float) / (1000.0 * self.base_mva)
 
@@ -279,6 +287,9 @@ def network_from_dict(doc: dict, origin: str = "<dict>") -> NetworkModel:
         raise ParseError(f"{origin}: missing or malformed field ({exc})") from exc
     if not isinstance(bus_entries, list) or not bus_entries:
         raise ParseError(f"{origin}: 'buses' must be a non-empty list")
+    for e in bus_entries:
+        if not isinstance(e, dict) or "id" not in e:
+            raise ParseError(f"{origin}: bus entry {e!r} is not an object with an 'id'")
 
     roots = [e for e in bus_entries if e.get("parent") is None]
     if len(roots) != 1:

@@ -73,10 +73,7 @@ def injection_vectors(
         raise DimensionMismatch(
             f"expected {model.n_inverters} inverter setpoints, got shape {q_g.shape}"
         )
-    if state.p.shape != (model.n,):
-        raise DimensionMismatch(
-            f"state has {state.p.shape[0]} buses, model has {model.n}"
-        )
+    model.check_state(state)
     p = state.p.copy()
     q = -state.q_c
     if model.n_inverters:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import DimensionMismatch, NonFiniteGradient
+from .errors import DimensionMismatch, Diverged, NonFiniteGradient, NumericalError
 from .network import NetworkModel
 from .policy import (
     SIGMA_FLOOR,
@@ -265,7 +265,13 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
             q = sample(dist, rng)
             assert np.all(q >= model.q_lo) and np.all(q <= model.q_hi)
             rec = grad_log_prob(model, s, q)
-            ev = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff)
+            try:
+                ev = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff)
+            except (Diverged, NumericalError) as exc:
+                raise type(exc)(
+                    f"aborted at update {updates}, record {len(trace)} (state "
+                    f"{idx}, timestamp {s.timestamp}): {exc}"
+                ) from exc
             trace.append(ev.penalized, ev.feasible)
             pending.append((s, rec, ev.penalized))
             if len(pending) == config.batch_size:

@@ -16,6 +16,7 @@ from voltcraft.baseline import (
 )
 from voltcraft.conic import solve_conic
 from voltcraft.errors import (
+    DimensionMismatch,
     Infeasible,
     NoFeasiblePoint,
     TooManyInverters,
@@ -52,6 +53,13 @@ def test_solution_invariants(feeder6):
     assert np.all(sol.flows.v >= feeder6.v_min - opts.feas_tol)
     assert np.all(sol.flows.v <= feeder6.v_max + opts.feas_tol)
     assert np.all(sol.cone_residuals <= opts.feas_tol)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+def test_state_length_mismatch(feeder6, extra):
+    n = feeder6.n + extra
+    with pytest.raises(DimensionMismatch, match="state has"):
+        solve_baseline(feeder6, GridState(p=np.zeros(n), q_c=np.zeros(n)))
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])

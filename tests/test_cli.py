@@ -58,6 +58,21 @@ def test_validate_missing_file_error_record(capsys):
     assert "message" in record
 
 
+@pytest.mark.parametrize(
+    "buses",
+    [[1, 2], [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}]],
+    ids=["not-objects", "root-without-id"],
+)
+def test_validate_malformed_bus_entries_error_record(tmp_path, capsys, buses):
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps({"base_mva": 1.0, "base_kv": 12.47, "buses": buses}))
+    assert main(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "ParseError"
+    assert captured.out == ""
+
+
 def test_pf_reports_convergence(tmp_path, capsys):
     state = tmp_path / "s.json"
     state.write_text(json.dumps({"p": [-0.01] * 5, "q_c": [0.005] * 5}))

@@ -103,6 +103,18 @@ def test_missing_field(tmp_path):
         load_network(write_feeder(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "buses",
+    [[1, 2], [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}]],
+    ids=["not-objects", "root-without-id"],
+)
+def test_malformed_bus_entries(buses):
+    doc = chain_doc(1)
+    doc["buses"] = buses
+    with pytest.raises(ParseError):
+        network_from_dict(doc)
+
+
 def test_nonpositive_base(tmp_path):
     doc = chain_doc(1)
     doc["base_mva"] = -1.0

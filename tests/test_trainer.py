@@ -14,7 +14,7 @@ import pytest
 from conftest import single_line_model
 from oracles import dmu_expectation_quad
 from voltcraft.baseline import grid_search_oracle
-from voltcraft.errors import DimensionMismatch, NonFiniteGradient
+from voltcraft.errors import DimensionMismatch, NonFiniteGradient, NumericalError
 from voltcraft.network import GridState
 from voltcraft.policy import (
     PolicyModel,
@@ -342,6 +342,21 @@ def test_partial_final_batch_applied():
     # 6 records never fill the batch; the trailing flush applies them
     assert manifest["updates"] == 1
     assert not np.array_equal(get_flat_params(pol), before)
+
+
+def test_failed_power_flow_names_its_record(feeder6):
+    rng = np.random.default_rng(0)
+    states = [
+        GridState(p=rng.uniform(-0.02, 0.02, feeder6.n), q_c=np.zeros(feeder6.n),
+                  timestamp=30 * k)
+        for k in range(5)
+    ]
+    states[3] = GridState(p=np.full(feeder6.n, -50.0), q_c=np.zeros(feeder6.n),
+                          timestamp=90)
+    pattern = (r"^aborted at update 0, record \d \(state 3, timestamp 90\): "
+               r"voltage collapsed")
+    with pytest.raises(NumericalError, match=pattern):
+        run_training(feeder6, states, TrainConfig(epochs=1, seed=0), hidden=(4,))
 
 
 def test_input_stats_stored_from_training_set():
