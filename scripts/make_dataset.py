@@ -1,8 +1,8 @@
 """Emit a synthetic day of feeder load and solar generation as CSV.
 
-The default profile is the one used by the experiment script: 2880
-intervals of 30 s, 40 kW peak load per bus, cloud transients capped at
-15% of inverter nameplate per minute.
+The default profile is the stock day of the acceptance tests and the
+README workflow: 2880 intervals of 30 s, 40 kW peak load per bus, cloud
+transients capped at 15% of inverter nameplate per minute.
 """
 
 import argparse

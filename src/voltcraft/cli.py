@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -27,7 +26,7 @@ from .data import load_timeseries
 from .errors import ParseError, VoltcraftError
 from .network import GridState, load_network
 from .powerflow import evaluate_loss
-from .trainer import TrainConfig, infer, run_training
+from .trainer import TrainConfig, compare_to_baseline, infer, run_training
 
 _G = "%.17g"
 
@@ -38,14 +37,21 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
+def _seed(raw, source):
+    """The one check of a run seed, whether from a config, the environment
+    or `--seed`: a nonnegative integer."""
+    try:
+        seed = int(raw) if isinstance(raw, str) else raw
+    except ValueError:
+        seed = None
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ParseError(f"{source} must be a nonnegative integer, got {raw!r}")
+    return seed
+
+
 def _env_seed():
     raw = os.environ.get("VOLTCRAFT_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"VOLTCRAFT_SEED must be an integer, got {raw!r}") from None
+    return None if raw is None else _seed(raw, "VOLTCRAFT_SEED")
 
 
 def _load_states(args, model):
@@ -57,7 +63,11 @@ def _load_states(args, model):
     else:
         idx = list(range(len(ds)))
     if args.limit is not None:
+        if args.limit < 1:
+            raise ParseError(f"--limit must be at least 1, got {args.limit}")
         idx = idx[: args.limit]
+    if not idx:
+        raise ParseError(f"{args.data}: split {args.split!r} selects no intervals")
     return ds, idx
 
 
@@ -127,6 +137,8 @@ def _read_train_config(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if "config" in doc and isinstance(doc["config"], dict):
         cfg_doc = doc["config"]
         hidden = doc.get("hidden")
@@ -137,10 +149,15 @@ def _read_train_config(path):
     unknown = set(cfg_doc) - known
     if unknown:
         raise ParseError(f"{path}: unknown config fields {sorted(unknown)}")
+    if hidden is not None and not (isinstance(hidden, list) and all(
+            type(h) is int and h > 0 for h in hidden)):
+        raise ParseError(f"{path}: hidden must be a list of positive integers, "
+                         f"got {hidden!r}")
     try:
         config = TrainConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    _seed(config.seed, f"{path}: seed")
     return config, tuple(hidden) if hidden is not None else (48, 32, 16)
 
 
@@ -164,15 +181,12 @@ def cmd_train(args) -> int:
     if args.trace:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["step", "raw_loss", "running_avg", "baseline_opt_loss", "feasible"]
-            )
+            writer.writerow(["step", "raw_loss", "running_avg", "feasible"])
             for row in trace.rows():
                 writer.writerow([
                     row["step"],
                     _G % row["raw_loss"],
                     _G % row["running_avg"],
-                    "" if row["baseline_opt_loss"] is None else _G % row["baseline_opt_loss"],
                     int(row["feasible"]),
                 ])
     print(f"trained on {len(states)} intervals, {manifest['updates']} updates")
@@ -187,7 +201,7 @@ def cmd_infer(args) -> int:
     ds, idx = _load_states(args, model_net)
     mode = "deterministic" if args.deterministic else "sample"
     env = _env_seed()
-    seed = env if env is not None else args.seed
+    seed = env if env is not None else _seed(args.seed, "--seed")
     rng = np.random.default_rng(seed)
     labels = [model_net.labels[b] for b in model_net.inverter_buses]
     with open(args.out, "w", newline="") as fh:
@@ -212,47 +226,37 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
+def _compare(args):
     model_net = load_network(args.network)
     pol = policy.load(args.model)
     ds, idx = _load_states(args, model_net)
-    opts = SolverOptions()
-    gaps = []
+    states = [ds.intervals[i] for i in idx]
+    return model_net, states, compare_to_baseline(pol, model_net, states)
+
+
+def cmd_compare(args) -> int:
+    model_net, states, res = _compare(args)
+    gaps = res.learned - res.optimal
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "learned_loss", "optimal_loss", "gap"])
-        for i in idx:
-            s = ds.intervals[i]
-            q = infer(pol, model_net, s, mode="deterministic")
-            learned = evaluate_loss(model_net, s, q).objective
-            optimal = solve_baseline(model_net, s, opts).objective
-            gap = learned - optimal
-            gaps.append(gap)
+        for s, learned, optimal, gap in zip(states, res.learned, res.optimal, gaps):
             writer.writerow([
                 _G % s.timestamp, _G % learned, _G % optimal, _G % gap,
             ])
-    print(f"wrote {len(idx)} rows to {args.out}")
-    print(f"mean gap: {np.mean(gaps):.6e} pu ({model_net.pu_to_kw(np.mean(gaps)):.3f} kW)")
+    mean_gap, mo = np.mean(gaps), res.optimal.mean()
+    print(f"wrote {len(states)} rows to {args.out}")
+    print(f"mean gap: {mean_gap:.6e} pu ({model_net.pu_to_kw(mean_gap):.3f} kW)")
+    print(f"relative gap: {mean_gap / mo * 100 if mo > 0 else float('nan'):.2f}%")
+    print(f"feasible: {res.feasible.sum()}/{len(states)}")
     return 0
 
 
 def cmd_bench(args) -> int:
-    model_net = load_network(args.network)
-    pol = policy.load(args.model)
-    ds, idx = _load_states(args, model_net)
-    opts = SolverOptions()
-    t_inf, t_base = [], []
-    for i in idx:
-        s = ds.intervals[i]
-        t0 = time.perf_counter()
-        infer(pol, model_net, s, mode="deterministic")
-        t_inf.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        solve_baseline(model_net, s, opts)
-        t_base.append(time.perf_counter() - t0)
-    t_inf, t_base = np.array(t_inf), np.array(t_base)
+    _, states, res = _compare(args)
+    t_inf, t_base = res.infer_s, res.baseline_s
     med_i, med_b = np.median(t_inf), np.median(t_base)
-    print(f"intervals: {len(idx)}")
+    print(f"intervals: {len(states)}")
     print("phase      median_ms      p95_ms")
     print(f"infer      {med_i * 1e3:9.3f}  {np.percentile(t_inf, 95) * 1e3:10.3f}")
     print(f"baseline   {med_b * 1e3:9.3f}  {np.percentile(t_base, 95) * 1e3:10.3f}")

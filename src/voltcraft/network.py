@@ -245,10 +245,6 @@ class NetworkModel:
         return np.asarray(value_pu, dtype=float) * (1000.0 * self.base_mva)
 
 
-def children(model: NetworkModel, bus: int) -> set[int]:
-    return model.children(bus)
-
-
 # -- file loading ---------------------------------------------------------
 
 
@@ -288,8 +284,10 @@ def network_from_dict(doc: dict, origin: str = "<dict>") -> NetworkModel:
     if not isinstance(bus_entries, list) or not bus_entries:
         raise ParseError(f"{origin}: 'buses' must be a non-empty list")
     for e in bus_entries:
-        if not isinstance(e, dict) or "id" not in e:
-            raise ParseError(f"{origin}: bus entry {e!r} is not an object with an 'id'")
+        if not isinstance(e, dict) or not isinstance(e.get("id"), (int, float, str)):
+            raise ParseError(
+                f"{origin}: bus entry {e!r} is not an object with a number or string 'id'"
+            )
 
     roots = [e for e in bus_entries if e.get("parent") is None]
     if len(roots) != 1:

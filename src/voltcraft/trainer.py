@@ -1,4 +1,5 @@
-"""Policy-gradient training loop and the inference path.
+"""Policy-gradient training loop, the inference path, and the comparison
+of the served policy with the per-interval optimum.
 
 One decision per interval: sample an action, price it with the penalized
 power-flow loss, accumulate score-function gradients, and step the
@@ -17,11 +18,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
+from .baseline import SolverOptions, solve_baseline
 from .errors import DimensionMismatch, Diverged, NonFiniteGradient, NumericalError
 from .network import NetworkModel
 from .policy import (
@@ -91,13 +94,11 @@ class LossTrace:
     window: int = BASELINE_WINDOW
     raw: list = field(default_factory=list)
     running_avg: list = field(default_factory=list)
-    baseline_opt: list = field(default_factory=list)
     feasible: list = field(default_factory=list)
 
-    def append(self, raw_loss, is_feasible, baseline_opt_loss=None):
+    def append(self, raw_loss, is_feasible):
         self.raw.append(float(raw_loss))
         self.running_avg.append(float(np.mean(self.raw[-self.window :])))
-        self.baseline_opt.append(baseline_opt_loss)
         self.feasible.append(bool(is_feasible))
 
     def __len__(self):
@@ -109,7 +110,6 @@ class LossTrace:
                 "step": i,
                 "raw_loss": self.raw[i],
                 "running_avg": self.running_avg[i],
-                "baseline_opt_loss": self.baseline_opt[i],
                 "feasible": self.feasible[i],
             }
 
@@ -329,3 +329,40 @@ def infer(
     if mode == "deterministic":
         return np.clip(dist.mu, model.q_lo, model.q_hi)
     raise ValueError(f"unknown inference mode {mode!r}")
+
+
+@dataclass
+class Comparison:
+    """Per-interval results of `compare_to_baseline`, one entry per state."""
+
+    learned: np.ndarray  # loss of the deterministic action (pu)
+    optimal: np.ndarray  # per-interval optimum from solve_baseline (pu)
+    feasible: np.ndarray  # deterministic action keeps every bus in the band
+    infer_s: np.ndarray  # wall time of each infer call
+    baseline_s: np.ndarray  # wall time of each solve_baseline call
+
+
+def compare_to_baseline(
+    model: PolicyModel,
+    network: NetworkModel,
+    states,
+    opts: SolverOptions | None = None,
+) -> Comparison:
+    """Serve the deterministic policy, price it, then solve the optimum.
+
+    Per state, in this order: `infer` (timed), `evaluate_loss`, and
+    `solve_baseline` (timed), so each `infer` runs right after the previous
+    state's solve.
+    """
+    rows = []
+    for s in states:
+        t0 = time.perf_counter()
+        q = infer(model, network, s, mode="deterministic")
+        t_infer = time.perf_counter() - t0
+        ev = evaluate_loss(network, s, q)
+        t0 = time.perf_counter()
+        opt = solve_baseline(network, s, opts).objective
+        rows.append((ev.objective, opt, ev.feasible, t_infer, time.perf_counter() - t0))
+    learned, optimal, feasible, infer_s, baseline_s = np.array(
+        rows, dtype=float).reshape(-1, 5).T
+    return Comparison(learned, optimal, feasible.astype(bool), infer_s, baseline_s)

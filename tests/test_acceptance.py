@@ -32,7 +32,7 @@ from voltcraft.policy import (
     sample,
 )
 from voltcraft.powerflow import evaluate_loss, solve_power_flow
-from voltcraft.trainer import TrainConfig, infer, run_training
+from voltcraft.trainer import TrainConfig, compare_to_baseline, run_training
 
 from conftest import single_line_model
 from oracles import dmu_expectation_quad, two_bus_closed_form
@@ -61,24 +61,17 @@ def experiment(surrogate47):
     model, trace, manifest = run_training(net, ds.train_states, TrainConfig())
     t_train = time.perf_counter() - t0
 
-    opts = SolverOptions()
-    inf_losses, opt_losses, feasible = [], [], 0
     t0 = time.perf_counter()
-    for s in ds.test_states:
-        q = infer(model, net, s, mode="deterministic")
-        ev = evaluate_loss(net, s, q)
-        inf_losses.append(ev.objective)
-        opt_losses.append(solve_baseline(net, s, opts).objective)
-        feasible += ev.feasible
+    held_out = compare_to_baseline(model, net, ds.test_states)
     t_eval = time.perf_counter() - t0
     return {
         "net": net,
         "dataset": ds,
         "model": model,
         "trace": trace,
-        "inf_losses": np.array(inf_losses),
-        "opt_losses": np.array(opt_losses),
-        "feasible": feasible,
+        "inf_losses": held_out.learned,
+        "opt_losses": held_out.optimal,
+        "feasible": int(held_out.feasible.sum()),
         "t_train": t_train,
         "t_eval": t_eval,
     }
@@ -266,16 +259,8 @@ def test_criterion_6_inference_latency(experiment):
     model = experiment["model"]
     idx = np.linspace(0, len(ds) - 1, 1000).astype(int)
     assert len(np.unique(idx)) >= 1000
-    opts = SolverOptions()
-    t_inf, t_base = [], []
-    for i in idx:
-        s = ds.intervals[i]
-        t0 = time.perf_counter()
-        infer(model, net, s, mode="deterministic")
-        t_inf.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        solve_baseline(net, s, opts)
-        t_base.append(time.perf_counter() - t0)
+    timed = compare_to_baseline(model, net, [ds.intervals[i] for i in idx])
+    t_inf, t_base = timed.infer_s, timed.baseline_s
     ratio = float(np.median(t_inf) / np.median(t_base))
     ok, line = verdict(
         6,

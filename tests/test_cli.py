@@ -10,8 +10,14 @@ import pytest
 
 from voltcraft import policy
 from voltcraft.cli import main
-from voltcraft.data import SynthesisProfile, synthesize_timeseries, write_timeseries
+from voltcraft.data import (
+    SynthesisProfile,
+    load_timeseries,
+    synthesize_timeseries,
+    write_timeseries,
+)
 from voltcraft.network import load_network
+from voltcraft.trainer import compare_to_baseline
 
 
 FEEDER6 = str(files("voltcraft").joinpath("feeders/feeder6.json"))
@@ -60,8 +66,12 @@ def test_validate_missing_file_error_record(capsys):
 
 @pytest.mark.parametrize(
     "buses",
-    [[1, 2], [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}]],
-    ids=["not-objects", "root-without-id"],
+    [
+        [1, 2],
+        [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+        [{"id": 0, "parent": None}, {"id": [1], "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+    ],
+    ids=["not-objects", "root-without-id", "unhashable-id"],
 )
 def test_validate_malformed_bus_entries_error_record(tmp_path, capsys, buses):
     path = tmp_path / "feeder.json"
@@ -154,7 +164,7 @@ def test_train_writes_model_manifest_trace(tmp_path, day_csv, capsys):
     assert manifest["config"]["seed"] == 2
     assert manifest["hidden"] == [6]
     header = trace_path.read_text().splitlines()[0]
-    assert header == "step,raw_loss,running_avg,baseline_opt_loss,feasible"
+    assert header == "step,raw_loss,running_avg,feasible"
     # 84 training records at batch 30: two full updates plus the remainder
     assert manifest["updates"] == 3
 
@@ -191,6 +201,26 @@ def test_train_repeat_and_manifest_replay_bit_identical(tmp_path, day_csv, capsy
     assert paths[0].read_bytes() == paths[2].read_bytes()
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [[1, 2], {"epochs": 1, "hidden": "ab"}, {"epochs": 1, "hidden": [6, 0]},
+     {"epochs": 1, "seed": -1}],
+    ids=["array", "hidden-string", "hidden-zero", "negative-seed"],
+)
+def test_train_malformed_config_error_record(tmp_path, day_csv, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main([
+        "train", "--network", FEEDER6, "--data", day_csv,
+        "--config", str(cfg), "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "ParseError"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_env_seed_override(tmp_path, day_csv, monkeypatch, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"epochs": 1, "seed": 2, "hidden": [6]}))
@@ -213,6 +243,23 @@ def test_env_seed_must_be_integer(tmp_path, day_csv, monkeypatch, capsys):
     ])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_negative_seed_error_record(tmp_path, day_csv, trained_model, monkeypatch, capsys):
+    monkeypatch.setenv("VOLTCRAFT_SEED", "-1")
+    assert main([
+        "train", "--network", FEEDER6, "--data", day_csv,
+        "--out", str(tmp_path / "m.json"),
+    ]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+    monkeypatch.delenv("VOLTCRAFT_SEED")
+    assert main([
+        "infer", "--model", trained_model, "--network", FEEDER6,
+        "--data", day_csv, "--seed", "-1", "--out", str(tmp_path / "i.csv"),
+    ]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError"
+    assert "--seed" in record["message"]
 
 
 def test_infer_deterministic_reruns_identical(tmp_path, day_csv, trained_model, capsys):
@@ -259,6 +306,48 @@ def test_compare_untrained_gap_positive_on_average(tmp_path, day_csv, capsys):
     assert np.mean(gaps) > 0.0
     # gap is learned minus relaxation optimum, so each entry is >= -obj_tol
     assert min(gaps) > -1e-8
+
+
+def test_compare_rows_are_the_shared_loop(tmp_path, day_csv, trained_model, capsys):
+    out = tmp_path / "cmp.csv"
+    assert main([
+        "compare", "--model", trained_model, "--network", FEEDER6,
+        "--data", day_csv, "--split", "test", "--out", str(out),
+    ]) == 0
+    net = load_network(FEEDER6)
+    states = load_timeseries(day_csv, net).test_states
+    res = compare_to_baseline(policy.load(trained_model), net, states)
+    expected = [
+        ",".join("%.17g" % v for v in (s.timestamp, lrn, opt, lrn - opt))
+        for s, lrn, opt in zip(states, res.learned, res.optimal)
+    ]
+    assert out.read_text().splitlines()[1:] == expected
+    printed = capsys.readouterr().out
+    assert "relative gap:" in printed
+    assert f"feasible: {res.feasible.sum()}/{len(states)}" in printed
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("bench", ["--limit", "0"]), ("compare", ["--limit", "-1"]),
+     ("compare", ["--split", "test"])],
+    ids=["limit-zero", "limit-negative", "empty-split"],
+)
+def test_empty_selection_error_record(tmp_path, day_csv, trained_model, capsys,
+                                      command, flags):
+    data = day_csv
+    if "--split" in flags:
+        # one interval: the 70/30 split holds it out of the test part
+        data = tmp_path / "one.csv"
+        data.write_text("\n".join(open(day_csv).read().splitlines()[:2]) + "\n")
+    out = [] if command == "bench" else ["--out", str(tmp_path / "o.csv")]
+    rc = main([command, "--model", trained_model, "--network", FEEDER6,
+               "--data", str(data), *flags, *out])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "ParseError"
+    assert captured.out == ""
 
 
 def test_bench_prints_ratio(day_csv, trained_model, capsys):

@@ -19,7 +19,6 @@ from voltcraft.network import (
     GridState,
     InverterSpec,
     Line,
-    children,
     load_network,
     network_from_dict,
     reactive_capability,
@@ -47,8 +46,8 @@ def test_load_minimal_chain(tmp_path):
     assert model.n == 2
     assert list(model.parent) == [0, 1]
     assert model.depth[2] == 2
-    assert children(model, 1) == {2}
-    assert children(model, 2) == set()
+    assert model.children(1) == {2}
+    assert model.children(2) == set()
 
 
 def test_self_parent_rejected(tmp_path):
@@ -105,8 +104,12 @@ def test_missing_field(tmp_path):
 
 @pytest.mark.parametrize(
     "buses",
-    [[1, 2], [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}]],
-    ids=["not-objects", "root-without-id"],
+    [
+        [1, 2],
+        [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+        [{"id": 0, "parent": None}, {"id": [1], "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+    ],
+    ids=["not-objects", "root-without-id", "unhashable-id"],
 )
 def test_malformed_bus_entries(buses):
     doc = chain_doc(1)
@@ -226,13 +229,13 @@ def test_inverter_kw_converted_to_pu(tmp_path):
 def test_children_unknown_bus():
     model = model_from_parents([0, 1])
     with pytest.raises(UnknownBus):
-        children(model, 99)
+        model.children(99)
 
 
 def test_children_partition(feeder6):
     seen = set()
     for bus in range(feeder6.n + 1):
-        kids = children(feeder6, bus)
+        kids = feeder6.children(bus)
         assert not (kids & seen)
         seen |= kids
     assert seen == set(range(1, feeder6.n + 1))
@@ -241,7 +244,7 @@ def test_children_partition(feeder6):
 def test_parent_map_reconstructs_lines(feeder6):
     rebuilt = {}
     for bus in range(feeder6.n + 1):
-        for kid in children(feeder6, bus):
+        for kid in feeder6.children(bus):
             rebuilt[kid] = bus
     expected = {ln.bus: ln.parent for ln in feeder6.lines}
     assert rebuilt == expected

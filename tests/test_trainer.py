@@ -13,7 +13,8 @@ import pytest
 
 from conftest import single_line_model
 from oracles import dmu_expectation_quad
-from voltcraft.baseline import grid_search_oracle
+from voltcraft.baseline import grid_search_oracle, solve_baseline
+from voltcraft.data import SynthesisProfile, synthesize_timeseries
 from voltcraft.errors import DimensionMismatch, NonFiniteGradient, NumericalError
 from voltcraft.network import GridState
 from voltcraft.policy import (
@@ -25,12 +26,14 @@ from voltcraft.policy import (
     policy_distribution,
     sample,
 )
+from voltcraft.powerflow import evaluate_loss
 from voltcraft.trainer import (
     EpisodeBatch,
     LossTrace,
     OptState,
     TrainConfig,
     apply_update,
+    compare_to_baseline,
     dataset_fingerprint,
     estimate_gradient,
     infer,
@@ -440,22 +443,50 @@ def test_infer_errors():
         infer(pol, net, states[0], mode="greedy")
 
 
+def test_compare_to_baseline_per_state_arrays(feeder6):
+    ds = synthesize_timeseries(
+        feeder6, SynthesisProfile(n_intervals=120, load_peak_kw=30.0), seed=1
+    )
+    pol, _, _ = run_training(
+        feeder6, ds.train_states, TrainConfig(epochs=1, seed=5), hidden=(6,)
+    )
+    states = ds.test_states
+    res = compare_to_baseline(pol, feeder6, states)
+    for a in (res.learned, res.optimal, res.feasible, res.infer_s, res.baseline_s):
+        assert a.shape == (len(states),)
+    assert res.feasible.dtype == bool
+    assert np.all(res.learned >= res.optimal - 1e-8)
+    assert np.all(res.infer_s > 0) and np.all(res.baseline_s > 0)
+    for k in (0, len(states) - 1):
+        ev = evaluate_loss(
+            feeder6, states[k], infer(pol, feeder6, states[k], mode="deterministic")
+        )
+        assert res.learned[k] == ev.objective
+        assert res.feasible[k] == ev.feasible
+        assert res.optimal[k] == solve_baseline(feeder6, states[k]).objective
+    assert compare_to_baseline(pol, feeder6, []).learned.shape == (0,)
+
+
 # -- trace and manifests ---------------------------------------------------
 
 
 def test_trace_rows_structure():
     trace = LossTrace(window=3)
     trace.append(1.0, True)
-    trace.append(2.0, False, baseline_opt_loss=0.5)
+    trace.append(2.0, False)
     rows = list(trace.rows())
     assert rows[0] == {
         "step": 0,
         "raw_loss": 1.0,
         "running_avg": 1.0,
-        "baseline_opt_loss": None,
         "feasible": True,
     }
-    assert rows[1]["baseline_opt_loss"] == 0.5
+    assert rows[1] == {
+        "step": 1,
+        "raw_loss": 2.0,
+        "running_avg": 1.5,
+        "feasible": False,
+    }
     assert len(rows) == len(trace)
 
 
