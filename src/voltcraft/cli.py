@@ -38,8 +38,8 @@ def _fail(exc: Exception) -> int:
 
 
 def _seed(raw, source):
-    """The one check of a run seed, whether from a config, the environment
-    or `--seed`: a nonnegative integer."""
+    """A run seed from the environment or `--seed`: a nonnegative integer,
+    the rule `TrainConfig` applies to a config's seed."""
     try:
         seed = int(raw) if isinstance(raw, str) else raw
     except ValueError:
@@ -157,7 +157,6 @@ def _read_train_config(path):
         config = TrainConfig(**cfg_doc)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    _seed(config.seed, f"{path}: seed")
     return config, tuple(hidden) if hidden is not None else (48, 32, 16)
 
 

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .baseline import SolverOptions, solve_baseline
+from .baseline import solve_baseline
 from .errors import DimensionMismatch, Diverged, NonFiniteGradient, NumericalError
 from .network import NetworkModel
 from .policy import (
@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
         if self.baseline_window < 1:
             raise ValueError("baseline_window must be at least 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass
@@ -342,12 +344,7 @@ class Comparison:
     baseline_s: np.ndarray  # wall time of each solve_baseline call
 
 
-def compare_to_baseline(
-    model: PolicyModel,
-    network: NetworkModel,
-    states,
-    opts: SolverOptions | None = None,
-) -> Comparison:
+def compare_to_baseline(model: PolicyModel, network: NetworkModel, states) -> Comparison:
     """Serve the deterministic policy, price it, then solve the optimum.
 
     Per state, in this order: `infer` (timed), `evaluate_loss`, and
@@ -361,7 +358,7 @@ def compare_to_baseline(
         t_infer = time.perf_counter() - t0
         ev = evaluate_loss(network, s, q)
         t0 = time.perf_counter()
-        opt = solve_baseline(network, s, opts).objective
+        opt = solve_baseline(network, s).objective
         rows.append((ev.objective, opt, ev.feasible, t_infer, time.perf_counter() - t0))
     learned, optimal, feasible, infer_s, baseline_s = np.array(
         rows, dtype=float).reshape(-1, 5).T

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from voltcraft import policy
+from voltcraft.baseline import solve_baseline
 from voltcraft.cli import main
 from voltcraft.data import (
     SynthesisProfile,
@@ -17,7 +18,8 @@ from voltcraft.data import (
     write_timeseries,
 )
 from voltcraft.network import load_network
-from voltcraft.trainer import compare_to_baseline
+from voltcraft.powerflow import evaluate_loss
+from voltcraft.trainer import compare_to_baseline, infer
 
 
 FEEDER6 = str(files("voltcraft").joinpath("feeders/feeder6.json"))
@@ -316,12 +318,20 @@ def test_compare_rows_are_the_shared_loop(tmp_path, day_csv, trained_model, caps
     ]) == 0
     net = load_network(FEEDER6)
     states = load_timeseries(day_csv, net).test_states
-    res = compare_to_baseline(policy.load(trained_model), net, states)
+    pol = policy.load(trained_model)
+    res = compare_to_baseline(pol, net, states)
     expected = [
         ",".join("%.17g" % v for v in (s.timestamp, lrn, opt, lrn - opt))
         for s, lrn, opt in zip(states, res.learned, res.optimal)
     ]
-    assert out.read_text().splitlines()[1:] == expected
+    rows = out.read_text().splitlines()[1:]
+    assert rows == expected
+    # tie the CSV to the primitives too, not only to the shared loop
+    for k in (0, len(states) - 1):
+        s = states[k]
+        lrn = evaluate_loss(net, s, infer(pol, net, s, mode="deterministic")).objective
+        opt = solve_baseline(net, s).objective
+        assert rows[k] == ",".join("%.17g" % v for v in (s.timestamp, lrn, opt, lrn - opt))
     printed = capsys.readouterr().out
     assert "relative gap:" in printed
     assert f"feasible: {res.feasible.sum()}/{len(states)}" in printed

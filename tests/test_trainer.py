@@ -76,6 +76,9 @@ def test_config_rejects_bad_values():
         TrainConfig(baseline_mode="constant")
     with pytest.raises(ValueError):
         TrainConfig(baseline_window=0)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError):
+            TrainConfig(seed=seed)
     TrainConfig(learning_rate=0.0)  # lr = 0 is a legal no-op configuration
 
 
