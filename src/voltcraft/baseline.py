@@ -7,8 +7,8 @@ the inequality ell >= (P^2 + Q^2) / v_parent, written as a standard cone
 
 which avoids dividing by v. Minimizing line loss over this convex set gives a
 lower bound on the achievable loss; when every cone is tight at the optimum
-(checked by exactness_check) the relaxed point is an actual operating point
-and the bound is attained.
+(`OpfSolution.exact`, from the per-line `cone_residuals`) the relaxed point
+is an actual operating point and the bound is attained.
 
 A brute-force action-grid oracle is included for cross-validation on feeders
 with at most three inverters, plus an elastic re-solve that diagnoses genuine
@@ -33,15 +33,9 @@ from .network import GridState, NetworkModel
 from .powerflow import PowerFlowSolution, evaluate_loss
 
 GRID_ORACLE_MAX_INVERTERS = 3
-
-
-@dataclass
-class SolverOptions:
-    kkt_tol: float = 1e-8
-    feas_tol: float = 1e-8
-    exact_tol: float = 1e-6
-    obj_tol: float = 1e-8
-    max_iter: int = 100
+KKT_TOL = 1e-8  # largest residual of an accepted solve
+FEAS_TOL = 1e-8  # band violation the elastic re-solve still counts as feasible
+EXACT_TOL = 1e-6  # largest cone slack of an exact relaxation
 
 
 @dataclass
@@ -56,13 +50,6 @@ class OpfSolution:
     kkt_residual: float
     solver_iterations: int  # interior-point iterations; 0 for the grid oracle
     solver_status: str  # ConicResult.status of the accepted solve; "grid" (oracle)
-
-
-@dataclass
-class ExactnessReport:
-    slacks: np.ndarray
-    max_slack: float
-    exact: bool
 
 
 def _cone_slacks(model: NetworkModel, P, Q, ell, v) -> np.ndarray:
@@ -147,8 +134,7 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
 
 
 def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
-             iterations: int, exact_tol: float,
-             status: str = "optimal") -> OpfSolution:
+             iterations: int, status: str = "optimal") -> OpfSolution:
     n, m = model.n, model.n_inverters
     q_g = x[:m].copy()
     P = x[m : m + n].copy()
@@ -169,29 +155,25 @@ def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
         flows=flows,
         objective=loss,
         cone_residuals=slacks,
-        exact=max_slack <= exact_tol,
+        exact=max_slack <= EXACT_TOL,
         kkt_residual=kkt_residual,
         solver_iterations=iterations,
         solver_status=status,
     )
 
 
-def solve_baseline(
-    model: NetworkModel, state: GridState, opts: SolverOptions | None = None
-) -> OpfSolution:
+def solve_baseline(model: NetworkModel, state: GridState) -> OpfSolution:
     """Minimize total line loss over inverter setpoints and the voltage band."""
-    opts = opts or SolverOptions()
     c, G, h, dims, A, b = _build_program(model, state, elastic=False)
-    res = solve_conic(c, G, h, dims, A, b, max_iter=opts.max_iter)
-    if res.meets(opts.kkt_tol):
+    res = solve_conic(c, G, h, dims, A, b)
+    if res.meets(KKT_TOL):
         kkt = max(res.pres, res.dres, res.relgap)
-        return _extract(model, res.x, kkt, res.iterations, opts.exact_tol,
-                        res.status)
+        return _extract(model, res.x, kkt, res.iterations, res.status)
 
     # primary solve failed: measure how infeasible the band really is
     ce, Ge, he, dimse, Ae, be = _build_program(model, state, elastic=True)
-    rese = solve_conic(ce, Ge, he, dimse, Ae, be, max_iter=opts.max_iter)
-    if not rese.meets(opts.kkt_tol):
+    rese = solve_conic(ce, Ge, he, dimse, Ae, be)
+    if not rese.meets(KKT_TOL):
         raise NumericalError(
             f"conic solver failed on both primary ({res.status}) and "
             f"elastic ({rese.status}) problems"
@@ -199,7 +181,7 @@ def solve_baseline(
     n, m = model.n, model.n_inverters
     u = rese.x[m + 4 * n :]
     max_violation = float(np.max(u)) if n else 0.0
-    if max_violation > opts.feas_tol:
+    if max_violation > FEAS_TOL:
         raise Infeasible(
             f"voltage band unattainable; best effort violates it by "
             f"{max_violation:.3e} (squared per-unit)",
@@ -262,15 +244,6 @@ def grid_search_oracle(
         kkt_residual=0.0,
         solver_iterations=0,
         solver_status="grid",
-    )
-
-
-def exactness_check(sol: OpfSolution, exact_tol: float = 1e-6) -> ExactnessReport:
-    """Certify that every relaxed cone is tight at the returned point."""
-    slacks = np.asarray(sol.cone_residuals, dtype=float)
-    max_slack = float(np.max(np.abs(slacks))) if slacks.size else 0.0
-    return ExactnessReport(
-        slacks=slacks, max_slack=max_slack, exact=max_slack <= exact_tol
     )
 
 

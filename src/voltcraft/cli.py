@@ -21,8 +21,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import policy
-from .baseline import SolverOptions, solve_baseline, solution_row, trace_header
-from .data import load_timeseries
+from .baseline import solve_baseline, solution_row, trace_header
+from .data import POWER_FACTOR, load_timeseries
 from .errors import ParseError, VoltcraftError
 from .network import GridState, load_network
 from .powerflow import evaluate_loss
@@ -118,12 +118,11 @@ def cmd_pf(args) -> int:
 def cmd_baseline(args) -> int:
     model = load_network(args.network)
     ds, idx = _load_states(args, model)
-    opts = SolverOptions()
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(trace_header(model))
         for i in idx:
-            sol = solve_baseline(model, ds.intervals[i], opts)
+            sol = solve_baseline(model, ds.intervals[i])
             writer.writerow(solution_row(ds.intervals[i].timestamp, sol))
     print(f"wrote {len(idx)} rows to {args.out}")
     return 0
@@ -265,7 +264,7 @@ def cmd_bench(args) -> int:
 
 def _add_data_flags(sub, with_limit=True):
     sub.add_argument("--data", required=True, help="time-series CSV")
-    sub.add_argument("--power-factor", type=float, default=0.8)
+    sub.add_argument("--power-factor", type=float, default=POWER_FACTOR)
     sub.add_argument("--split", choices=["train", "test", "all"], default="all")
     if with_limit:
         sub.add_argument("--limit", type=int, default=None,

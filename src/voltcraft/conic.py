@@ -33,6 +33,12 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 STEP_FRACTION = 0.99
+# stopping rule: both residuals under FEASTOL and the gap under ABSTOL or,
+# relative to the objective, under RELTOL; MAX_ITER iterations at most
+FEASTOL = 1e-9
+ABSTOL = 1e-10
+RELTOL = 1e-9
+MAX_ITER = 100
 # static regularization of the reduced KKT system; the refinement pass
 # corrects the perturbation
 KKT_REG = 1e-12
@@ -94,7 +100,6 @@ class ConicResult:
     z: np.ndarray
     status: str  # "optimal" | "max_iterations" | "numerical"
     iterations: int
-    gap: float
     pres: float
     dres: float
     relgap: float = field(default=np.nan)
@@ -266,16 +271,6 @@ class _Scaling:
         _hyperbolic(out, u, a, 0.5 * f, self.dims)
         return out
 
-    @property
-    def W(self) -> np.ndarray:
-        """Dense W, for inspection; the solver applies W block-wise."""
-        return np.column_stack([self.scale(col) for col in np.eye(self.dims.total)])
-
-    @property
-    def Winv(self) -> np.ndarray:
-        """Dense W^-1, for inspection; the solver applies it block-wise."""
-        return np.column_stack([self.unscale(col) for col in np.eye(self.dims.total)])
-
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray, dims: ConeDims) -> _Scaling:
     k, blk, sgn = dims.nonneg, dims.block, dims.sign
@@ -435,10 +430,6 @@ def solve_conic(
     dims: ConeDims,
     A: np.ndarray | None = None,
     b: np.ndarray | None = None,
-    feastol: float = 1e-9,
-    abstol: float = 1e-10,
-    reltol: float = 1e-9,
-    max_iter: int = 100,
 ) -> ConicResult:
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -502,7 +493,7 @@ def solve_conic(
         return ConicResult(
             x=np.full(nx, np.nan), s=np.full(m, np.nan), y=np.full(ny, np.nan),
             z=np.full(m, np.nan), status="numerical", iterations=0,
-            gap=np.nan, pres=np.nan, dres=np.nan,
+            pres=np.nan, dres=np.nan,
         )
 
     bnorm = max(1.0, np.linalg.norm(b))
@@ -518,9 +509,9 @@ def solve_conic(
 
     status = "max_iterations"
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rd, rp, rg, gap, pobj, pres, dres, relgap = residuals()
-        if pres <= feastol and dres <= feastol and (gap <= abstol or relgap <= reltol):
+        if pres <= FEASTOL and dres <= FEASTOL and (gap <= ABSTOL or relgap <= RELTOL):
             status = "optimal"
             break
         mu = gap / rank
@@ -566,8 +557,8 @@ def solve_conic(
             break
         x, y, z, s = x_n, y_n, z_n, s_n
 
-    *_, gap, pobj, pres, dres, relgap = residuals()
+    *_, pobj, pres, dres, relgap = residuals()
     return ConicResult(
-        x=x, s=s, y=y, z=z, status=status, iterations=it, gap=float(gap),
+        x=x, s=s, y=y, z=z, status=status, iterations=it,
         pres=float(pres), dres=float(dres), relgap=float(relgap), pobj=float(pobj),
     )

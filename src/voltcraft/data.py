@@ -16,14 +16,26 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingColumn, NonMonotoneTime, ParseError, UnitError
 from .network import GridState, NetworkModel
 
-TRAIN_FRACTION = 0.7
+TRAIN_FRACTION = 0.7  # the first 70% of a day trains, the tail is held out
+POWER_FACTOR = 0.8  # of consumption, uniform over buses
+
+# shape of the synthetic day
+LOAD_BASE = 0.35  # nighttime load floor as a fraction of peak
+MORNING_HOUR = 8.0
+EVENING_HOUR = 19.5
+HUMP_WIDTH_HOURS = 3.0
+LOAD_JITTER = 0.02  # bound of the per-bus random walk around 1
+SUNRISE_HOUR = 6.5
+SUNSET_HOUR = 19.5
+CLOUD_EVENT_RATE = 0.02  # per-interval chance of a new cloud target
+CLOUD_FLOOR = 0.25  # least attenuation a cloud target draws
 
 
 def reactive_factor(power_factor: float) -> float:
@@ -63,12 +75,10 @@ class TimeSeriesDataset:
         return [self.intervals[i] for i in self.test_idx]
 
 
-def contiguous_split(n: int, train_fraction: float = TRAIN_FRACTION):
+def contiguous_split(n: int):
     """First part of the day trains, the tail is held out."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be strictly between 0 and 1")
     # nearest interval, so 0.7 of 2880 is 2016 despite 2880*0.7 rounding down
-    cut = round(n * train_fraction)
+    cut = round(n * TRAIN_FRACTION)
     return np.arange(cut), np.arange(cut, n)
 
 
@@ -94,8 +104,7 @@ def _states_from_kw(model, timestamps, load_kw, gen_kw, power_factor):
 def load_timeseries(
     path,
     model: NetworkModel,
-    power_factor: float = 0.8,
-    train_fraction: float = TRAIN_FRACTION,
+    power_factor: float = POWER_FACTOR,
 ) -> TimeSeriesDataset:
     labels = model.labels
     pc_cols = [f"{labels[bus]}_pc_kw" for bus in range(1, model.n + 1)]
@@ -142,7 +151,7 @@ def load_timeseries(
 
     states = _states_from_kw(model, timestamps, load_kw, gen_kw, power_factor)
     step = timestamps[1] - timestamps[0] if len(timestamps) > 1 else 0.0
-    train_idx, test_idx = contiguous_split(len(states), train_fraction)
+    train_idx, test_idx = contiguous_split(len(states))
     return TimeSeriesDataset(
         intervals=states,
         interval_seconds=step,
@@ -180,43 +189,26 @@ class SynthesisProfile:
     n_intervals: int = 2880
     interval_seconds: float = 30.0
     load_peak_kw: float = 40.0
-    load_base: float = 0.35  # nighttime floor as a fraction of peak
-    morning_hour: float = 8.0
-    evening_hour: float = 19.5
-    hump_width_hours: float = 3.0
-    load_jitter: float = 0.02
     solar_peak_frac: float = 0.9  # clear-sky noon output over nameplate
-    sunrise_hour: float = 6.5
-    sunset_hour: float = 19.5
     cloud_delta_frac: float = 0.15  # one-minute swing cap over nameplate
-    cloud_event_rate: float = 0.02  # per-interval chance of a new target
-    cloud_floor: float = 0.25
-    power_factor: float = 0.8
-    per_bus_load_scale: tuple = ()  # optional per-bus multipliers
 
 
 def _diurnal_load(profile, hours, rng, n_buses):
-    base = profile.load_base
-    bump = (1.0 - base) * 0.5
+    bump = (1.0 - LOAD_BASE) * 0.5
     shape = (
-        base
-        + bump * np.exp(-0.5 * ((hours - profile.morning_hour) / profile.hump_width_hours) ** 2)
-        + bump * np.exp(-0.5 * ((hours - profile.evening_hour) / profile.hump_width_hours) ** 2)
+        LOAD_BASE
+        + bump * np.exp(-0.5 * ((hours - MORNING_HOUR) / HUMP_WIDTH_HOURS) ** 2)
+        + bump * np.exp(-0.5 * ((hours - EVENING_HOUR) / HUMP_WIDTH_HOURS) ** 2)
     )
-    scale = np.ones(n_buses)
-    if profile.per_bus_load_scale:
-        scale = np.asarray(profile.per_bus_load_scale, dtype=float)
     # smooth per-bus jitter: bounded random walk around 1
-    jitter = np.ones((len(hours), n_buses))
-    if profile.load_jitter > 0:
-        walk = np.cumsum(rng.normal(0, profile.load_jitter * 0.1, (len(hours), n_buses)), axis=0)
-        jitter = 1.0 + np.clip(walk, -profile.load_jitter, profile.load_jitter)
-    return profile.load_peak_kw * shape[:, None] * scale[None, :] * jitter
+    walk = np.cumsum(rng.normal(0, LOAD_JITTER * 0.1, (len(hours), n_buses)), axis=0)
+    jitter = 1.0 + np.clip(walk, -LOAD_JITTER, LOAD_JITTER)
+    return profile.load_peak_kw * shape[:, None] * jitter
 
 
 def _solar_fraction(profile, hours, rng):
     """Clear-sky bell times a rate-limited cloud attenuation, in [0, 1]."""
-    up = (hours - profile.sunrise_hour) / (profile.sunset_hour - profile.sunrise_hour)
+    up = (hours - SUNRISE_HOUR) / (SUNSET_HOUR - SUNRISE_HOUR)
     bell = np.where(
         (up > 0) & (up < 1), np.sin(np.pi * np.clip(up, 0, 1)) ** 2, 0.0
     )
@@ -229,8 +221,8 @@ def _solar_fraction(profile, hours, rng):
     att = np.ones(len(hours))
     target = 1.0
     for i in range(1, len(hours)):
-        if rng.random() < profile.cloud_event_rate:
-            target = rng.uniform(profile.cloud_floor, 1.0)
+        if rng.random() < CLOUD_EVENT_RATE:
+            target = rng.uniform(CLOUD_FLOOR, 1.0)
         att[i] = target
     raw = bell * att
     cap = profile.cloud_delta_frac * profile.interval_seconds / 60.0
@@ -245,7 +237,6 @@ def synthesize_timeseries(
     model: NetworkModel,
     profile: SynthesisProfile | None = None,
     seed: int = 0,
-    train_fraction: float = TRAIN_FRACTION,
 ) -> TimeSeriesDataset:
     profile = profile if profile is not None else SynthesisProfile()
     rng = np.random.default_rng(seed)
@@ -259,16 +250,14 @@ def synthesize_timeseries(
     for j, cap_kw in enumerate(nameplate_kw):
         gen_kw[:, j] = cap_kw * _solar_fraction(profile, hours, rng)
 
-    states = _states_from_kw(
-        model, timestamps, load_kw, gen_kw, profile.power_factor
-    )
-    train_idx, test_idx = contiguous_split(n, train_fraction)
+    states = _states_from_kw(model, timestamps, load_kw, gen_kw, POWER_FACTOR)
+    train_idx, test_idx = contiguous_split(n)
     return TimeSeriesDataset(
         intervals=states,
         interval_seconds=profile.interval_seconds,
         train_idx=train_idx,
         test_idx=test_idx,
-        provenance={"synthetic": seed, "power_factor": profile.power_factor},
+        provenance={"synthetic": seed, "power_factor": POWER_FACTOR},
         load_kw=load_kw,
         gen_kw=gen_kw,
         clip_count=0,

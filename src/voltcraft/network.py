@@ -176,9 +176,15 @@ class NetworkModel:
                 raise UnitError(f"line into bus {ln.bus} has zero impedance")
 
     def _validate_inverters(self):
+        seen = set()
         for inv in self.inverters:
             if inv.bus == 0 or inv.bus not in self._parent_map:
                 raise UnknownBus(f"inverter placed on unknown bus {inv.bus}")
+            if inv.bus in seen:
+                raise ParseError(
+                    f"more than one inverter on bus {self.labels[inv.bus]}"
+                )
+            seen.add(inv.bus)
 
     def _derive_structure(self):
         n = self.n
@@ -189,18 +195,6 @@ class NetworkModel:
             self.parent[ln.bus - 1] = ln.parent
             self.r[ln.bus - 1] = ln.r
             self.x[ln.bus - 1] = ln.x
-
-        depth = np.zeros(n + 1, dtype=int)
-        for bus in range(1, n + 1):
-            node, d = bus, 0
-            while node != 0:
-                node = self._parent_map[node]
-                d += 1
-            depth[bus] = d
-        self.depth = depth
-        self.topo_order = np.array(
-            sorted(range(n + 1), key=lambda b: (depth[b], b)), dtype=int
-        )
 
         subtree = np.zeros((n, n))
         for bus in range(1, n + 1):
@@ -214,9 +208,8 @@ class NetworkModel:
         self.q_lo = np.array([inv.q_min for inv in self.inverters])
         self.q_hi = np.array([inv.q_max for inv in self.inverters])
 
-        for arr in (self.parent, self.r, self.x, self.depth, self.topo_order,
-                    self.subtree, self.inverter_buses, self.q_lo, self.q_hi,
-                    self.v_min, self.v_max):
+        for arr in (self.parent, self.r, self.x, self.subtree, self.inverter_buses,
+                    self.q_lo, self.q_hi, self.v_min, self.v_max):
             arr.setflags(write=False)
 
     # -- queries ----------------------------------------------------------
@@ -224,12 +217,6 @@ class NetworkModel:
     @property
     def n_inverters(self) -> int:
         return len(self.inverters)
-
-    def children(self, bus: int) -> set[int]:
-        """Buses whose parent line attaches to `bus`."""
-        if not (0 <= bus <= self.n):
-            raise UnknownBus(f"no bus {bus} in a model with buses 0..{self.n}")
-        return {ln.bus for ln in self.lines if ln.parent == bus}
 
     def check_state(self, state: GridState) -> None:
         """Raise DimensionMismatch unless `state` has one entry per non-root bus."""
@@ -250,8 +237,6 @@ class NetworkModel:
 
 def _sort_key(label):
     # integers first in numeric order, everything else lexicographic
-    if isinstance(label, bool):
-        return (1, str(label))
     if isinstance(label, int):
         return (0, label)
     if isinstance(label, str) and label.lstrip("-").isdigit():
@@ -284,7 +269,8 @@ def network_from_dict(doc: dict, origin: str = "<dict>") -> NetworkModel:
     if not isinstance(bus_entries, list) or not bus_entries:
         raise ParseError(f"{origin}: 'buses' must be a non-empty list")
     for e in bus_entries:
-        if not isinstance(e, dict) or not isinstance(e.get("id"), (int, float, str)):
+        bus_id = e.get("id") if isinstance(e, dict) else None
+        if isinstance(bus_id, bool) or not isinstance(bus_id, (int, float, str)):
             raise ParseError(
                 f"{origin}: bus entry {e!r} is not an object with a number or string 'id'"
             )
@@ -297,17 +283,19 @@ def network_from_dict(doc: dict, origin: str = "<dict>") -> NetworkModel:
     root_label = roots[0]["id"]
     others = [e for e in bus_entries if e.get("parent") is not None]
     labels = [root_label] + sorted((e["id"] for e in others), key=_sort_key)
-    if len(set(map(str, labels))) != len(labels):
+    # ids are told apart by their text, as the CSV column names tell them
+    # apart: 1 and 1.0 are two buses
+    index = {str(lab): i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
         raise TopologyError(f"{origin}: duplicate bus ids")
-    index = {lab: i for i, lab in enumerate(labels)}
 
     lines = []
     for e in others:
         try:
-            bus = index[e["id"]]
-            if e["parent"] not in index:
+            bus = index[str(e["id"])]
+            if str(e["parent"]) not in index:
                 raise TopologyError(f"{origin}: bus {e['id']} has unknown parent {e['parent']}")
-            parent = index[e["parent"]]
+            parent = index[str(e["parent"])]
             lines.append(Line(bus=bus, parent=parent, r=float(e["r_pu"]), x=float(e["x_pu"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{origin}: malformed bus entry {e!r} ({exc})") from exc
@@ -315,9 +303,9 @@ def network_from_dict(doc: dict, origin: str = "<dict>") -> NetworkModel:
     inverters = []
     for e in inv_entries:
         try:
-            if e["bus"] not in index:
+            if str(e["bus"]) not in index:
                 raise UnknownBus(f"{origin}: inverter on unknown bus {e['bus']}")
-            bus = index[e["bus"]]
+            bus = index[str(e["bus"])]
             p_pu = float(e["p_rated_kw"]) / (1000.0 * base_mva)
             s_pu = None
             if e.get("s_rated_kw") is not None:

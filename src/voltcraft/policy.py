@@ -210,13 +210,8 @@ def _forward_cached(model: PolicyModel, s):
     return mu, sigma, cache
 
 
-def forward(model: PolicyModel, s) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation of the action distribution for state s."""
-    mu, sigma, _ = _forward_cached(model, s)
-    return mu, sigma
-
-
 def policy_distribution(model: PolicyModel, s) -> TruncatedGaussian:
+    """The action distribution for state s: mean and deviation, truncated to the box."""
     mu, sigma, _ = _forward_cached(model, s)
     return TruncatedGaussian(mu=mu, sigma=sigma, lo=model.q_lo, hi=model.q_hi)
 

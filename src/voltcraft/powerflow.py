@@ -76,19 +76,11 @@ def injection_vectors(
     model.check_state(state)
     p = state.p.copy()
     q = -state.q_c
-    if model.n_inverters:
-        q = q.copy()
-        np.add.at(q, model.inverter_buses - 1, q_g)
+    q[model.inverter_buses - 1] += q_g  # the model allows one inverter a bus
     return p, q
 
 
-def solve_power_flow(
-    model: NetworkModel,
-    p: np.ndarray,
-    q: np.ndarray,
-    tol: float = PF_TOL,
-    max_iter: int = MAX_ITER,
-) -> PowerFlowSolution:
+def solve_power_flow(model: NetworkModel, p: np.ndarray, q: np.ndarray) -> PowerFlowSolution:
     """Fixed point of the branch-flow equations for net injections (p, q)."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -106,7 +98,7 @@ def solve_power_flow(
     Q = T @ (x * ell - q)
     v = np.full(model.n + 1, v0)
     step = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         vpar = v[model.parent]
         if np.any(vpar <= 0.0):
             raise NumericalError("voltage collapsed to zero during the sweep")
@@ -121,12 +113,12 @@ def solve_power_flow(
             raise Diverged(f"iterate left the finite range at sweep {it}")
         step = np.max(np.abs(ell_new - ell))
         ell = ell_new
-        if step <= tol:
+        if step <= PF_TOL:
             vpar = v[model.parent]
             if np.any(vpar <= 0.0):
                 raise NumericalError("voltage collapsed to zero during the sweep")
             residual = float(np.max(np.abs(ell * vpar - (P**2 + Q**2))))
-            if residual <= tol:
+            if residual <= PF_TOL:
                 return PowerFlowSolution(
                     P=P,
                     Q=Q,
@@ -137,7 +129,7 @@ def solve_power_flow(
                     converged=True,
                     max_residual=residual,
                 )
-    raise Diverged(f"no fixed point after {max_iter} sweeps (last step {step:.3e})")
+    raise Diverged(f"no fixed point after {MAX_ITER} sweeps (last step {step:.3e})")
 
 
 def band_violation(model: NetworkModel, v: np.ndarray) -> float:
@@ -153,7 +145,6 @@ def evaluate_loss(
     q_g: np.ndarray,
     penalty_coeff: float = PENALTY_COEFF,
     strict: bool = False,
-    feas_tol: float = FEAS_TOL,
 ) -> LossEvaluation:
     """Ohmic loss plus penalty_coeff times the voltage-band violation.
 
@@ -179,6 +170,6 @@ def evaluate_loss(
         objective=sol.loss,
         violation=violation,
         penalized=sol.loss + penalty_coeff * violation,
-        feasible=violation <= feas_tol,
+        feasible=violation <= FEAS_TOL,
         solution=sol,
     )

@@ -60,33 +60,30 @@ class TrainConfig:
     sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("baseline_window", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        # each rule is written so that NaN fails it
+        rules = (
+            ("learning_rate", "finite and >= 0",
+             math.isfinite(self.learning_rate) and self.learning_rate >= 0),
+            ("grad_clip", "> 0", self.grad_clip > 0),
+            ("sigma_floor", "> 0", self.sigma_floor > 0),
+            ("penalty_coeff", "finite and >= 0",
+             math.isfinite(self.penalty_coeff) and self.penalty_coeff >= 0),
+            ("adam_eps", "> 0", self.adam_eps > 0),
+            ("adam_beta1", "in [0, 1)", 0 <= self.adam_beta1 < 1),
+            ("adam_beta2", "in [0, 1)", 0 <= self.adam_beta2 < 1),
+        )
+        for name, rule, ok in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.baseline_mode not in ("none", "running_mean"):
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
-        if self.baseline_window < 1:
-            raise ValueError("baseline_window must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-
-
-@dataclass
-class EpisodeBatch:
-    """(state, gradient record, penalized loss) triples for one update."""
-
-    records: list
-
-    def __post_init__(self):
-        if not self.records:
-            raise ValueError("empty batch")
-
-    @property
-    def batch_mean_loss(self) -> float:
-        return float(np.mean([loss for _, _, loss in self.records]))
 
 
 @dataclass
@@ -128,27 +125,30 @@ def init_opt_state(n_params: int) -> OptState:
 
 
 def estimate_gradient(
-    batch: EpisodeBatch,
+    records,
     baseline_mode: str = "none",
     prior_losses=(),
     window: int = BASELINE_WINDOW,
 ) -> np.ndarray:
-    """Score-function estimate averaged over the batch, fixed order.
+    """Score-function estimate averaged over a batch of (state, gradient
+    record, penalized loss) triples, in their order.
 
     The baseline is computed from losses of earlier batches only; the
     current batch never feeds its own control variate.
     """
-    losses = np.array([loss for _, _, loss in batch.records])
+    if not records:
+        raise ValueError("empty batch")
+    losses = np.array([loss for _, _, loss in records])
     if not np.all(np.isfinite(losses)):
         raise NonFiniteGradient("non-finite loss in batch")
     if baseline_mode == "running_mean" and len(prior_losses) > 0:
         b = float(np.mean(np.asarray(prior_losses)[-window:]))
     else:
         b = 0.0
-    g = np.zeros_like(batch.records[0][1].grad_theta_log_prob)
-    for _, rec, loss in batch.records:
+    g = np.zeros_like(records[0][1].grad_theta_log_prob)
+    for _, rec, loss in records:
         g += (loss - b) * rec.grad_theta_log_prob
-    g /= len(batch.records)
+    g /= len(records)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("non-finite gradient estimate")
     return g
@@ -242,10 +242,9 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
 
     def flush():
         nonlocal updates
-        batch = EpisodeBatch(records=list(pending))
         try:
             g = estimate_gradient(
-                batch, config.baseline_mode, applied_losses, config.baseline_window
+                pending, config.baseline_mode, applied_losses, config.baseline_window
             )
         except NonFiniteGradient as exc:
             raise NonFiniteGradient(
@@ -315,7 +314,6 @@ def infer(
     state,
     mode: str = "sample",
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
 ) -> np.ndarray:
     """Map one state to one action; no optimization solve involved."""
     if model.n_actions != network.n_inverters:
@@ -325,9 +323,7 @@ def infer(
         )
     dist = policy_distribution(model, state)
     if mode == "sample":
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return sample(dist, rng)
+        return sample(dist, rng if rng is not None else np.random.default_rng())
     if mode == "deterministic":
         return np.clip(dist.mu, model.q_lo, model.q_hi)
     raise ValueError(f"unknown inference mode {mode!r}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voltcraft.network import GridState, InverterSpec, Line, NetworkModel, load_network
+from voltcraft.policy import policy_distribution
 
 
 def band_arrays(n, lo=0.95, hi=1.05):
@@ -66,6 +67,12 @@ def model_from_parents(parents, r=None, x=None, inverter_buses=(), inverter_p=0.
 
 def zero_state(model):
     return GridState(p=np.zeros(model.n), q_c=np.zeros(model.n))
+
+
+def mu_sigma(pol, s):
+    """Mean and deviation of the policy's action distribution at state s."""
+    dist = policy_distribution(pol, s)
+    return dist.mu, dist.sigma
 
 
 @pytest.fixture(scope="session")

@@ -221,6 +221,14 @@ def max_step_loop(u, du, dims):
     return t_max
 
 
+def dense_scaling(sc):
+    """Dense W and W^-1 of a block-wise scaling, column by column."""
+    eye = np.eye(sc.dims.total)
+    W = np.column_stack([sc.scale(col) for col in eye])
+    Winv = np.column_stack([sc.unscale(col) for col in eye])
+    return W, Winv
+
+
 def nt_scaling_dense(s, z, dims):
     """Dense Nesterov-Todd W, W^-1 and lambda = W z, built block by block."""
     m = dims.total

@@ -14,12 +14,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from voltcraft.baseline import (
-    SolverOptions,
-    exactness_check,
-    grid_search_oracle,
-    solve_baseline,
-)
+from voltcraft.baseline import grid_search_oracle, solve_baseline
 from voltcraft.cli import main as cli_main
 from voltcraft.data import SynthesisProfile, synthesize_timeseries, write_timeseries
 from voltcraft.policy import (
@@ -117,8 +112,8 @@ def test_criterion_1_power_flow_fidelity(feeder6, surrogate47):
 def test_criterion_2_relaxation_exactness(feeder6, surrogate47):
     worst = 0.0
     for net in (feeder6, surrogate47):
-        sol = solve_baseline(net, nominal_state(net), SolverOptions())
-        worst = max(worst, exactness_check(sol).max_slack)
+        sol = solve_baseline(net, nominal_state(net))
+        worst = max(worst, float(np.max(np.abs(sol.cone_residuals))))
     ok, line = verdict(2, worst <= 1e-6, f"max cone slack {worst:.2e} <= 1e-6")
     assert ok, line
 
@@ -126,7 +121,7 @@ def test_criterion_2_relaxation_exactness(feeder6, surrogate47):
 def test_criterion_3_oracle_equivalence(feeder6):
     t0 = time.perf_counter()
     state = nominal_state(feeder6)
-    sol = solve_baseline(feeder6, state, SolverOptions())
+    sol = solve_baseline(feeder6, state)
     grid = grid_search_oracle(feeder6, state, points_per_axis=41)
     rel = abs(sol.objective - grid.objective) / grid.objective
 

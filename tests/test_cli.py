@@ -1,13 +1,16 @@
 """Command-line behavior: outputs, determinism, error records."""
 
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import voltcraft
 from voltcraft import policy
 from voltcraft.baseline import solve_baseline
 from voltcraft.cli import main
@@ -72,8 +75,10 @@ def test_validate_missing_file_error_record(capsys):
         [1, 2],
         [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
         [{"id": 0, "parent": None}, {"id": [1], "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+        [{"id": 0, "parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01},
+         {"id": True, "parent": 1, "r_pu": 0.01, "x_pu": 0.01}],
     ],
-    ids=["not-objects", "root-without-id", "unhashable-id"],
+    ids=["not-objects", "root-without-id", "unhashable-id", "bool-id"],
 )
 def test_validate_malformed_bus_entries_error_record(tmp_path, capsys, buses):
     path = tmp_path / "feeder.json"
@@ -83,6 +88,28 @@ def test_validate_malformed_bus_entries_error_record(tmp_path, capsys, buses):
     assert len(captured.err.splitlines()) == 1
     assert json.loads(captured.err)["error"] == "ParseError"
     assert captured.out == ""
+
+
+def test_validate_duplicate_inverter_error_record(tmp_path, capsys):
+    doc = json.loads(Path(FEEDER6).read_text())
+    doc["inverters"].append({"bus": 3, "p_rated_kw": 300.0})
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--network", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "ParseError"
+    assert captured.out == ""
+
+
+def test_validate_ids_equal_in_python(tmp_path, capsys):
+    buses = [{"id": 0, "parent": None},
+             {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01},
+             {"id": 1.0, "parent": 1, "r_pu": 0.01, "x_pu": 0.01}]
+    path = tmp_path / "feeder.json"
+    path.write_text(json.dumps({"base_mva": 1.0, "base_kv": 12.47, "buses": buses}))
+    assert main(["validate", "--network", str(path)]) == 0
+    assert "buses: 3 (including substation)" in capsys.readouterr().out
 
 
 def test_pf_reports_convergence(tmp_path, capsys):
@@ -206,8 +233,14 @@ def test_train_repeat_and_manifest_replay_bit_identical(tmp_path, day_csv, capsy
 @pytest.mark.parametrize(
     "doc",
     [[1, 2], {"epochs": 1, "hidden": "ab"}, {"epochs": 1, "hidden": [6, 0]},
-     {"epochs": 1, "seed": -1}],
-    ids=["array", "hidden-string", "hidden-zero", "negative-seed"],
+     {"epochs": 1, "seed": -1}, {"epochs": 1.5}, {"epochs": 1, "sigma_floor": 0},
+     {"epochs": 1, "batch_size": 2.5}, {"epochs": 1, "grad_clip": -1},
+     {"epochs": 1, "penalty_coeff": -5}, {"epochs": 1, "adam_beta1": 2},
+     {"epochs": 1, "adam_eps": 0}, {"epochs": 1, "baseline_window": True},
+     {"epochs": 1, "learning_rate": "fast"}],
+    ids=["array", "hidden-string", "hidden-zero", "negative-seed", "epochs-float",
+         "sigma-floor-zero", "batch-float", "grad-clip-negative", "penalty-negative",
+         "beta1-above-one", "eps-zero", "window-bool", "rate-string"],
 )
 def test_train_malformed_config_error_record(tmp_path, day_csv, capsys, doc):
     cfg = tmp_path / "cfg.json"
@@ -306,7 +339,8 @@ def test_compare_untrained_gap_positive_on_average(tmp_path, day_csv, capsys):
     gaps = [float(r.split(",")[3]) for r in lines[1:]]
     assert len(gaps) == 12
     assert np.mean(gaps) > 0.0
-    # gap is learned minus relaxation optimum, so each entry is >= -obj_tol
+    # gap is learned minus relaxation optimum, so each entry is at least
+    # minus the solver's residual tolerance
     assert min(gaps) > -1e-8
 
 
@@ -349,7 +383,7 @@ def test_empty_selection_error_record(tmp_path, day_csv, trained_model, capsys,
     if "--split" in flags:
         # one interval: the 70/30 split holds it out of the test part
         data = tmp_path / "one.csv"
-        data.write_text("\n".join(open(day_csv).read().splitlines()[:2]) + "\n")
+        data.write_text("\n".join(Path(day_csv).read_text().splitlines()[:2]) + "\n")
     out = [] if command == "bench" else ["--out", str(tmp_path / "o.csv")]
     rc = main([command, "--model", trained_model, "--network", FEEDER6,
                "--data", str(data), *flags, *out])
@@ -373,9 +407,13 @@ def test_bench_prints_ratio(day_csv, trained_model, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child imports the voltcraft this test imported, installed or not
+    src = str(Path(voltcraft.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "voltcraft.cli", "validate", "--network", FEEDER6],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def write_feeder(tmp_path, doc, name="feeder.json"):
     return path
 
 
+def children(model, bus):
+    """Buses whose parent line attaches to `bus`, read off `parent`."""
+    return {int(k) + 1 for k in np.flatnonzero(model.parent == bus)}
+
+
+def depth(model, bus):
+    """Lines between `bus` and the substation: the subtrees holding it."""
+    return 0 if bus == 0 else int(model.subtree[:, bus - 1].sum())
+
+
 def chain_doc(n=2, r=0.01, x=0.01):
     buses = [{"id": 0, "parent": None}]
     buses += [{"id": k, "parent": k - 1, "r_pu": r, "x_pu": x} for k in range(1, n + 1)]
@@ -45,9 +56,9 @@ def test_load_minimal_chain(tmp_path):
     model = load_network(write_feeder(tmp_path, chain_doc(2)))
     assert model.n == 2
     assert list(model.parent) == [0, 1]
-    assert model.depth[2] == 2
-    assert model.children(1) == {2}
-    assert model.children(2) == set()
+    assert depth(model, 2) == 2
+    assert children(model, 1) == {2}
+    assert children(model, 2) == set()
 
 
 def test_self_parent_rejected(tmp_path):
@@ -88,6 +99,23 @@ def test_duplicate_ids_rejected(tmp_path):
         load_network(write_feeder(tmp_path, doc))
 
 
+def test_ids_equal_in_python_are_distinct_buses():
+    # 1 == 1.0 in Python, but the two name different CSV columns, so they
+    # are two buses, and a parent reference finds a bus by its text
+    doc = chain_doc(1)
+    doc["buses"].append({"id": 1.0, "parent": 1, "r_pu": 0.01, "x_pu": 0.01})
+    model = network_from_dict(doc)
+    assert model.labels == [0, 1, 1.0]
+    assert list(model.parent) == [0, 1]
+
+
+def test_duplicate_inverter_bus_rejected():
+    doc = json.loads(files("voltcraft").joinpath("feeders/feeder6.json").read_text())
+    doc["inverters"].append({"bus": 3, "p_rated_kw": 300.0})
+    with pytest.raises(ParseError, match="bus 3"):
+        network_from_dict(doc)
+
+
 def test_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -108,8 +136,10 @@ def test_missing_field(tmp_path):
         [1, 2],
         [{"parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
         [{"id": 0, "parent": None}, {"id": [1], "parent": 0, "r_pu": 0.01, "x_pu": 0.01}],
+        [{"id": 0, "parent": None}, {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01},
+         {"id": True, "parent": 1, "r_pu": 0.01, "x_pu": 0.01}],
     ],
-    ids=["not-objects", "root-without-id", "unhashable-id"],
+    ids=["not-objects", "root-without-id", "unhashable-id", "bool-id"],
 )
 def test_malformed_bus_entries(buses):
     doc = chain_doc(1)
@@ -226,16 +256,10 @@ def test_inverter_kw_converted_to_pu(tmp_path):
 # -- structure queries -----------------------------------------------------
 
 
-def test_children_unknown_bus():
-    model = model_from_parents([0, 1])
-    with pytest.raises(UnknownBus):
-        model.children(99)
-
-
 def test_children_partition(feeder6):
     seen = set()
     for bus in range(feeder6.n + 1):
-        kids = feeder6.children(bus)
+        kids = children(feeder6, bus)
         assert not (kids & seen)
         seen |= kids
     assert seen == set(range(1, feeder6.n + 1))
@@ -244,22 +268,22 @@ def test_children_partition(feeder6):
 def test_parent_map_reconstructs_lines(feeder6):
     rebuilt = {}
     for bus in range(feeder6.n + 1):
-        for kid in feeder6.children(bus):
+        for kid in children(feeder6, bus):
             rebuilt[kid] = bus
     expected = {ln.bus: ln.parent for ln in feeder6.lines}
     assert rebuilt == expected
 
 
 def test_topo_order_deterministic(feeder6):
-    order = list(feeder6.topo_order)
-    assert order[0] == 0
+    # a child is one line deeper than its parent, so ordering the buses by
+    # (depth, id) puts every parent first and breaks ties by id
+    for ln in feeder6.lines:
+        assert depth(feeder6, ln.bus) == depth(feeder6, ln.parent) + 1
+    order = sorted(range(feeder6.n + 1), key=lambda b: (depth(feeder6, b), b))
+    assert order == [0, 1, 2, 5, 3, 4]
     pos = {b: i for i, b in enumerate(order)}
     for ln in feeder6.lines:
         assert pos[ln.parent] < pos[ln.bus]
-    # ties broken by ascending id within a depth level
-    for a, b in zip(order, order[1:]):
-        da, db = feeder6.depth[a], feeder6.depth[b]
-        assert (da, a) < (db, b)
 
 
 def test_subtree_matrix_literal():
@@ -324,10 +348,11 @@ def random_parents(draw):
 def test_random_tree_structure(parents):
     model = model_from_parents(parents)
     n = model.n
-    order = list(model.topo_order)
+    order = sorted(range(n + 1), key=lambda b: (depth(model, b), b))
     pos = {b: i for i, b in enumerate(order)}
-    assert order[0] == 0 and sorted(order) == list(range(n + 1))
+    assert order[0] == 0
     for bus in range(1, n + 1):
+        assert depth(model, bus) == depth(model, parents[bus - 1]) + 1
         assert pos[parents[bus - 1]] < pos[bus]
     # subtree matrix agrees with an ancestor walk
     for bus in range(1, n + 1):
@@ -341,5 +366,5 @@ def test_random_tree_structure(parents):
     # children sets partition the non-root buses
     union = set()
     for bus in range(n + 1):
-        union |= model.children(bus)
+        union |= children(model, bus)
     assert union == set(range(1, n + 1))

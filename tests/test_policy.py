@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import model_from_parents
+from conftest import model_from_parents, mu_sigma
 from oracles import (
     dmu_expectation_quad,
     trunc_logpdf_quad,
@@ -34,7 +34,6 @@ from voltcraft.policy import (
     PolicyModel,
     TruncatedGaussian,
     _dlogp_dmu_dsigma,
-    forward,
     get_flat_params,
     grad_log_prob,
     init_policy,
@@ -121,7 +120,7 @@ def test_zero_network_head_values():
     net = three_bus_net()
     pol = zero_policy(net)
     s = GridState(p=arr(0.01, -0.02, 0.03), q_c=arr(0.01, 0.0, 0.02))
-    mu, sigma = forward(pol, s)
+    mu, sigma = mu_sigma(pol, s)
     mid = (pol.q_lo + pol.q_hi) / 2.0
     assert np.all(np.abs(mu - mid) <= 1e-15)
     assert np.all(np.abs(sigma - (math.log(2.0) + pol.sigma_floor)) <= 1e-15)
@@ -131,15 +130,15 @@ def test_forward_purity():
     net = three_bus_net()
     pol = init_policy(net, seed=2)
     s = GridState(p=arr(0.02, -0.01, 0.0), q_c=arr(0.01, 0.03, 0.02))
-    m1, s1 = forward(pol, s)
-    m2, s2 = forward(pol, s)
+    m1, s1 = mu_sigma(pol, s)
+    m2, s2 = mu_sigma(pol, s)
     assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
 
 
 def test_zero_input_equals_bias_only_pass():
     net = three_bus_net()
     pol = init_policy(net, hidden=(7, 5), seed=9)
-    mu, sigma = forward(pol, np.zeros(6))
+    mu, sigma = mu_sigma(pol, np.zeros(6))
     # bias-only reference: propagate the bias vectors by hand
     h = np.zeros(6)
     for W, b in zip(pol.weights[:-1], pol.biases[:-1]):
@@ -155,7 +154,7 @@ def test_zero_input_equals_bias_only_pass():
 def test_forward_wrong_length_raises():
     pol = init_policy(three_bus_net(), seed=0)
     with pytest.raises(DimensionMismatch):
-        forward(pol, np.zeros(5))
+        mu_sigma(pol, np.zeros(5))
 
 
 def test_forward_nan_input_raises():
@@ -163,7 +162,7 @@ def test_forward_nan_input_raises():
     x = np.zeros(6)
     x[3] = np.nan
     with pytest.raises(NonFiniteActivation):
-        forward(pol, x)
+        mu_sigma(pol, x)
 
 
 def test_nonfinite_parameters_rejected_at_construction():
@@ -187,7 +186,7 @@ def test_forward_output_invariants(seed, scale):
     pol = init_policy(net, hidden=(6, 5), seed=seed % 17)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, scale, size=6)
-    mu, sigma = forward(pol, x)
+    mu, sigma = mu_sigma(pol, x)
     assert np.all(mu > pol.q_lo) and np.all(mu < pol.q_hi)
     assert np.all(sigma >= pol.sigma_floor)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))
@@ -443,8 +442,8 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     for ba, bb in zip(pol.biases, back.biases):
         assert np.array_equal(ba, bb)
     x = np.linspace(-0.05, 0.05, 6)
-    assert np.array_equal(forward(pol, x)[0], forward(back, x)[0])
-    assert np.array_equal(forward(pol, x)[1], forward(back, x)[1])
+    assert np.array_equal(mu_sigma(pol, x)[0], mu_sigma(back, x)[0])
+    assert np.array_equal(mu_sigma(pol, x)[1], mu_sigma(back, x)[1])
     # reserializing the loaded model reproduces the file byte for byte
     path2 = tmp_path / "model2.json"
     save(back, path2)

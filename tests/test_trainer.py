@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import single_line_model
+from conftest import mu_sigma, single_line_model
 from oracles import dmu_expectation_quad
 from voltcraft.baseline import grid_search_oracle, solve_baseline
 from voltcraft.data import SynthesisProfile, synthesize_timeseries
@@ -19,7 +19,6 @@ from voltcraft.errors import DimensionMismatch, NonFiniteGradient, NumericalErro
 from voltcraft.network import GridState
 from voltcraft.policy import (
     PolicyModel,
-    forward,
     get_flat_params,
     grad_log_prob,
     init_policy,
@@ -28,7 +27,6 @@ from voltcraft.policy import (
 )
 from voltcraft.powerflow import evaluate_loss
 from voltcraft.trainer import (
-    EpisodeBatch,
     LossTrace,
     OptState,
     TrainConfig,
@@ -64,22 +62,27 @@ def bias_only_policy(a_bias, b_bias, lo, hi, sigma_floor=0.01):
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=-0.1)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
-        TrainConfig(baseline_mode="constant")
-    with pytest.raises(ValueError):
-        TrainConfig(baseline_window=0)
-    for seed in (-1, 1.5, True):
-        with pytest.raises(ValueError):
-            TrainConfig(seed=seed)
+    bad = {
+        "learning_rate": (-0.1, math.inf, math.nan),
+        "batch_size": (0, 2.5, True),
+        "epochs": (0, 1.5, True),
+        "baseline_window": (0, 3.0, False),
+        "optimizer": ("rmsprop",),
+        "baseline_mode": ("constant",),
+        "seed": (-1, 1.5, True),
+        "grad_clip": (0.0, -1.0, math.nan),
+        "sigma_floor": (0.0, -0.01, math.nan),
+        "penalty_coeff": (-5.0, math.inf, math.nan),
+        "adam_eps": (0.0, -1e-8),
+        "adam_beta1": (-0.1, 1.0, 2.0, math.nan),
+        "adam_beta2": (-0.1, 1.0, math.nan),
+    }
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: value})
     TrainConfig(learning_rate=0.0)  # lr = 0 is a legal no-op configuration
+    TrainConfig(penalty_coeff=0.0, adam_beta1=0.0, adam_beta2=0.0, grad_clip=math.inf)
 
 
 # -- estimate_gradient -----------------------------------------------------
@@ -99,32 +102,27 @@ def make_records(n, loss, seed=0):
 
 def test_constant_loss_with_matching_baseline_gives_zero():
     records = make_records(8, loss=3.25)
-    g = estimate_gradient(
-        EpisodeBatch(records), "running_mean", prior_losses=[3.25, 3.25]
-    )
+    g = estimate_gradient(records, "running_mean", prior_losses=[3.25, 3.25])
     assert np.all(g == 0.0)
 
 
 def test_single_record_no_baseline_is_loss_times_score():
     records = make_records(1, loss=0.7)
-    g = estimate_gradient(EpisodeBatch(records), "none")
+    g = estimate_gradient(records, "none")
     assert np.array_equal(g, 0.7 * records[0][1].grad_theta_log_prob)
 
 
 def test_estimate_gradient_deterministic():
     records = make_records(12, loss=0.4, seed=5)
-    batch = EpisodeBatch(records)
     assert np.array_equal(
-        estimate_gradient(batch, "none"), estimate_gradient(batch, "none")
+        estimate_gradient(records, "none"), estimate_gradient(records, "none")
     )
 
 
 def test_running_mean_uses_window_tail():
     records = make_records(6, loss=2.0)
     prior = [10.0] * 300 + [2.0] * 200
-    g = estimate_gradient(
-        EpisodeBatch(records), "running_mean", prior_losses=prior, window=200
-    )
+    g = estimate_gradient(records, "running_mean", prior_losses=prior, window=200)
     # the tail of the window is all 2.0, matching the batch loss exactly
     assert np.all(g == 0.0)
 
@@ -132,17 +130,12 @@ def test_running_mean_uses_window_tail():
 def test_nonfinite_loss_rejected():
     records = make_records(2, loss=float("inf"))
     with pytest.raises(NonFiniteGradient):
-        estimate_gradient(EpisodeBatch(records), "none")
+        estimate_gradient(records, "none")
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        EpisodeBatch([])
-
-
-def test_batch_mean_loss():
-    records = make_records(2, loss=1.0) + make_records(2, loss=3.0)
-    assert EpisodeBatch(records).batch_mean_loss == 2.0
+        estimate_gradient([], "none")
 
 
 # -- apply_update ----------------------------------------------------------
@@ -250,7 +243,7 @@ def pilot_records():
 
 
 def _pilot_truth_in_bias_units(pol, s):
-    mu, sigma = forward(pol, s)
+    mu, sigma = mu_sigma(pol, s)
     width = PILOT["hi"] - PILOT["lo"]
     sig = (mu[0] - PILOT["lo"]) / width
     dmu_da = width * sig * (1.0 - sig)
@@ -268,7 +261,7 @@ def test_score_estimator_matches_quadrature_derivative(pilot_records):
     chunk_means = []
     for k in range(PILOT["chunks"]):
         chunk = records[k * PILOT["chunk_size"] : (k + 1) * PILOT["chunk_size"]]
-        g = estimate_gradient(EpisodeBatch(chunk), "none")
+        g = estimate_gradient(chunk, "none")
         chunk_means.append(g[a_idx])
     est = float(np.mean(chunk_means))
     se = float(np.std(chunk_means)) / math.sqrt(len(chunk_means))
@@ -283,9 +276,8 @@ def test_running_mean_baseline_preserves_expectation(pilot_records):
     diffs = []
     for k in range(PILOT["chunks"]):
         chunk = records[k * PILOT["chunk_size"] : (k + 1) * PILOT["chunk_size"]]
-        batch = EpisodeBatch(chunk)
-        g0 = estimate_gradient(batch, "none")
-        gb = estimate_gradient(batch, "running_mean", prior_losses=history)
+        g0 = estimate_gradient(chunk, "none")
+        gb = estimate_gradient(chunk, "running_mean", prior_losses=history)
         if history:
             diffs.append(g0[a_idx] - gb[a_idx])
         history.extend(loss for _, _, loss in chunk)
@@ -409,7 +401,7 @@ def test_trained_mean_hits_grid_argmin_within_one_cell():
         grad_clip=0.01,
     )
     pol, trace, _ = train(pol, net, [state] * 600, cfg)
-    mu, _ = forward(pol, state)
+    mu, _ = mu_sigma(pol, state)
     assert abs(mu[0] - oracle.q_g_star[0]) <= cell
     assert all(trace.feasible)
 
@@ -420,8 +412,8 @@ def test_trained_mean_hits_grid_argmin_within_one_cell():
 def test_infer_sample_in_box_and_seeded():
     net, states = small_setup()
     pol = init_policy(net, hidden=(4,), seed=0)
-    a1 = infer(pol, net, states[0], mode="sample", seed=5)
-    a2 = infer(pol, net, states[0], mode="sample", seed=5)
+    a1 = infer(pol, net, states[0], mode="sample", rng=np.random.default_rng(5))
+    a2 = infer(pol, net, states[0], mode="sample", rng=np.random.default_rng(5))
     assert np.array_equal(a1, a2)
     assert np.all(a1 >= pol.q_lo) and np.all(a1 <= pol.q_hi)
 
@@ -432,7 +424,7 @@ def test_infer_deterministic_is_clipped_mean():
     a1 = infer(pol, net, states[1], mode="deterministic")
     a2 = infer(pol, net, states[1], mode="deterministic")
     assert np.array_equal(a1, a2)
-    mu, _ = forward(pol, states[1])
+    mu, _ = mu_sigma(pol, states[1])
     assert np.array_equal(a1, np.clip(mu, pol.q_lo, pol.q_hi))
 
 
