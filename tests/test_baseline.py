@@ -138,14 +138,28 @@ def test_oracle_symmetric_center(feeder6):
 
 
 def test_oracle_tie_breaks_lexicographically():
-    # lossless (purely reactive) lines: every action of the 3-point grid has
-    # a loss of exactly 0 and stays in the band, so all nine tie and the
-    # smallest action, lowest on the first inverter first, must win
-    model = model_from_parents([0, 1], r=[0.0, 0.0], x=[0.01, 0.01],
-                               inverter_buses=(1, 2), inverter_p=0.2)
+    # buses 1 and 2 hang on a lossless (purely reactive) chain, bus 3 on its
+    # own lossy line. Every action with q3 = 0 has a loss of exactly 0 and
+    # any other q3 a positive one. The tight band on buses 1 and 2 keeps
+    # (-b, b), (0, 0), (0, b), (b, 0) and (b, b) in the tie, so the smallest
+    # action, lowest on the first inverter first, is (-b, b, 0): ignoring
+    # the loss would give (-b, b, -b) and comparing the last inverter first
+    # would give (0, 0, 0)
+    model = NetworkModel(
+        lines=[Line(bus=1, parent=0, r=0.0, x=0.01),
+               Line(bus=2, parent=1, r=0.0, x=0.01),
+               Line(bus=3, parent=0, r=0.02, x=0.01)],
+        inverters=[InverterSpec(bus=k, p_rated=0.2) for k in (1, 2, 3)],
+        base_mva=1.0,
+        base_kv=12.47,
+        v0=1.0,
+        v_min=np.array([0.9025, 0.999, 0.999, 0.9025]),
+        v_max=np.full(4, 1.1025),
+    )
     sol = grid_search_oracle(model, zero_state(model), 3)
+    b = model.q_hi[0]
     assert sol.objective == 0.0
-    assert np.array_equal(sol.q_g_star, model.q_lo)
+    assert np.array_equal(sol.q_g_star, np.array([-b, b, 0.0]))
 
 
 def test_oracle_rejects_many_inverters():

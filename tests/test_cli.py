@@ -102,16 +102,6 @@ def test_validate_duplicate_inverter_error_record(tmp_path, capsys):
     assert captured.out == ""
 
 
-def test_validate_ids_equal_in_python(tmp_path, capsys):
-    buses = [{"id": 0, "parent": None},
-             {"id": 1, "parent": 0, "r_pu": 0.01, "x_pu": 0.01},
-             {"id": 1.0, "parent": 1, "r_pu": 0.01, "x_pu": 0.01}]
-    path = tmp_path / "feeder.json"
-    path.write_text(json.dumps({"base_mva": 1.0, "base_kv": 12.47, "buses": buses}))
-    assert main(["validate", "--network", str(path)]) == 0
-    assert "buses: 3 (including substation)" in capsys.readouterr().out
-
-
 def test_pf_reports_convergence(tmp_path, capsys):
     state = tmp_path / "s.json"
     state.write_text(json.dumps({"p": [-0.01] * 5, "q_c": [0.005] * 5}))
