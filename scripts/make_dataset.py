@@ -11,11 +11,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from voltcraft.cli import _fail
 from voltcraft.data import SynthesisProfile, synthesize_timeseries, write_timeseries
+from voltcraft.errors import ParseError, VoltcraftError
 from voltcraft.network import load_network
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--network", required=True, help="feeder JSON")
     ap.add_argument("--out", required=True, help="CSV path")
@@ -27,19 +29,26 @@ def main():
                     help="max per-minute solar swing as a fraction of nameplate")
     args = ap.parse_args()
 
-    model = load_network(args.network)
-    profile = SynthesisProfile(
-        n_intervals=args.intervals,
-        interval_seconds=args.interval_seconds,
-        load_peak_kw=args.peak_kw,
-        cloud_delta_frac=args.cloud_delta,
-    )
-    ds = synthesize_timeseries(model, profile, seed=args.seed)
-    write_timeseries(args.out, model, ds)
+    try:
+        try:
+            profile = SynthesisProfile(
+                n_intervals=args.intervals,
+                interval_seconds=args.interval_seconds,
+                load_peak_kw=args.peak_kw,
+                cloud_delta_frac=args.cloud_delta,
+            )
+        except ValueError as exc:
+            raise ParseError(f"synthesis profile: {exc}") from exc
+        model = load_network(args.network)
+        ds = synthesize_timeseries(model, profile, seed=args.seed)
+        write_timeseries(args.out, model, ds)
+    except (VoltcraftError, OSError) as exc:
+        return _fail(exc)
     peak = max(-s.p.sum() for s in ds.intervals)
     print(f"{args.out}: {len(ds)} intervals, peak demand {model.pu_to_kw(peak):.0f} kW, "
           f"{len(ds.train_idx)} train / {len(ds.test_idx)} test")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -10,18 +10,26 @@ lower bound on the achievable loss; when every cone is tight at the optimum
 (`OpfSolution.exact`, from the per-line `cone_residuals`) the relaxed point
 is an actual operating point and the bound is attained.
 
+Only the net injections depend on the interval, and they enter only the
+right-hand side b of the equality rows; the cone program without b depends
+on the feeder alone. So each `NetworkModel` gets one prepared
+`ConicProgram`, built on its first solve and kept in a weak-keyed cache that
+keeps no model alive, and every solve only sets b.
+
 A brute-force action-grid oracle is included for cross-validation on feeders
 with at most three inverters, plus an elastic re-solve that diagnoses genuine
-voltage infeasibility instead of failing opaquely.
+voltage infeasibility instead of failing opaquely; its program is built on a
+feeder's first failed solve.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conic import ConeDims, solve_conic
+from .conic import ConeDims, ConicProgram, solve_conic
 from .errors import (
     Infeasible,
     MaxIterations,
@@ -57,16 +65,15 @@ def _cone_slacks(model: NetworkModel, P, Q, ell, v) -> np.ndarray:
     return (P**2 + Q**2) / vpar - ell
 
 
-def _build_program(model: NetworkModel, state: GridState, elastic: bool):
-    """Assemble (c, G, h, dims, A, b) for the relaxed loss minimization.
+def _build_program(model: NetworkModel, elastic: bool):
+    """Assemble (c, G, h, dims, A) of the relaxed loss minimization.
 
     Variable layout: [q_g (M), P (N), Q (N), ell (N), v (N), (u (N) if
     elastic)]. The elastic variant relaxes the voltage band by a nonnegative
     per-bus slack u and minimizes its sum, which measures infeasibility.
     Row i of each equality group and SOC block i belong to the line into
-    bus i+1.
+    bus i+1; `_rhs` gives their right-hand side b.
     """
-    model.check_state(state)
     n, m = model.n, model.n_inverters
     iq, iP, iQ, iL, iV = 0, m, m + n, m + 2 * n, m + 3 * n
     nx = m + 4 * n + (n if elastic else 0)
@@ -88,13 +95,13 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
     A[n + up, iQ + kid] = -1.0
     A[n + bus, iL + bus] = -x
     A[n + model.inverter_buses - 1, iq + inv] = 1.0
-    # voltage drop: v_i - v_parent + 2rP + 2xQ - (r^2+x^2) ell = 0
+    # voltage drop: v_i - v_parent + 2rP + 2xQ - (r^2+x^2) ell = 0, with
+    # v_parent = v0 moved to the right-hand side on a line out of the substation
     A[2 * n + bus, iV + bus] = 1.0
     A[2 * n + bus, iP + bus] = 2.0 * r
     A[2 * n + bus, iQ + bus] = 2.0 * x
     A[2 * n + bus, iL + bus] = -(r**2 + x**2)
     A[2 * n + kid, iV + up] = -1.0
-    b = np.concatenate([-state.p, state.q_c, np.where(fed, 0.0, model.v0)])
 
     n_orth = 2 * m + 2 * n + (n if elastic else 0)
     G = np.zeros((n_orth + 4 * n, nx))
@@ -130,7 +137,26 @@ def _build_program(model: NetworkModel, state: GridState, elastic: bool):
         c[iU : iU + n] = 1.0
     else:
         c[iL : iL + n] = model.r
-    return c, G, h, dims, A, b
+    return c, G, h, dims, A
+
+
+def _rhs(model: NetworkModel, state: GridState) -> np.ndarray:
+    """b of `_build_program`'s equality rows at `state`."""
+    v_root = np.where(model.parent > 0, 0.0, model.v0)  # on lines out of the substation
+    return np.concatenate([-state.p, state.q_c, v_root])
+
+
+# model -> {elastic: its ConicProgram}. Weak keys, so that the cache keeps no
+# model alive; an id() key could be reused by another model after collection.
+_PROGRAMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _program(model: NetworkModel, elastic: bool) -> ConicProgram:
+    """The model's prepared program, built on first use."""
+    programs = _PROGRAMS.setdefault(model, {})
+    if elastic not in programs:
+        programs[elastic] = ConicProgram(*_build_program(model, elastic))
+    return programs[elastic]
 
 
 def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
@@ -164,15 +190,15 @@ def _extract(model: NetworkModel, x: np.ndarray, kkt_residual: float,
 
 def solve_baseline(model: NetworkModel, state: GridState) -> OpfSolution:
     """Minimize total line loss over inverter setpoints and the voltage band."""
-    c, G, h, dims, A, b = _build_program(model, state, elastic=False)
-    res = solve_conic(c, G, h, dims, A, b)
+    model.check_state(state)
+    b = _rhs(model, state)
+    res = solve_conic(_program(model, elastic=False), b)
     if res.meets(KKT_TOL):
         kkt = max(res.pres, res.dres, res.relgap)
         return _extract(model, res.x, kkt, res.iterations, res.status)
 
     # primary solve failed: measure how infeasible the band really is
-    ce, Ge, he, dimse, Ae, be = _build_program(model, state, elastic=True)
-    rese = solve_conic(ce, Ge, he, dimse, Ae, be)
+    rese = solve_conic(_program(model, elastic=True), b)
     if not rese.meets(KKT_TOL):
         raise NumericalError(
             f"conic solver failed on both primary ({res.status}) and "
@@ -252,13 +278,13 @@ def grid_search_oracle(
 
 def trace_header(model: NetworkModel) -> list[str]:
     qcols = [f"q_g_{model.labels[inv.bus]}" for inv in model.inverters]
-    return ["t", "objective", "exact", "max_cone_slack"] + qcols
+    return ["t", "objective", "exact", "max_cone_slack", "solver_iterations",
+            "solver_status"] + qcols
 
 
 def solution_row(t: int, sol: OpfSolution) -> list:
     max_slack = (
         float(np.max(np.abs(sol.cone_residuals))) if sol.cone_residuals.size else 0.0
     )
-    return [t, sol.objective, int(sol.exact), max_slack] + [
-        float(q) for q in sol.q_g_star
-    ]
+    return [t, sol.objective, int(sol.exact), max_slack, sol.solver_iterations,
+            sol.solver_status] + [float(q) for q in sol.q_g_star]

@@ -243,9 +243,15 @@ def cmd_compare(args) -> int:
                 _G % s.timestamp, _G % learned, _G % optimal, _G % gap,
             ])
     mean_gap, mo = np.mean(gaps), res.optimal.mean()
+
+    def relative_gap(losses):
+        return np.mean(losses - res.optimal) / mo * 100 if mo > 0 else float("nan")
+
     print(f"wrote {len(states)} rows to {args.out}")
     print(f"mean gap: {mean_gap:.6e} pu ({model_net.pu_to_kw(mean_gap):.3f} kW)")
-    print(f"relative gap: {mean_gap / mo * 100 if mo > 0 else float('nan'):.2f}%")
+    print(f"relative gap: {relative_gap(res.learned):.2f}%")
+    print(f"relative gap of q = 0: {relative_gap(res.zero):.2f}%")
+    print(f"relative gap of q = q_hi: {relative_gap(res.q_hi):.2f}%")
     print(f"feasible: {res.feasible.sum()}/{len(states)}")
     return 0
 

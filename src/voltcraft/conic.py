@@ -14,17 +14,25 @@ scalar and a vector per second-order block) and every cone operation acts on
 all blocks at once through index arrays, so the cost of an iteration is
 linear in the number of cone rows. The KKT system is reduced to the
 quasi-definite form [[G'W^-2 G, A'], [A, 0]], whose sparsity pattern does not
-change between iterations: it is worked out once per solve, and each
-iteration writes new values into the data array of the one CSC matrix built
-per solve and factors it with SuperLU, with static regularization and one pass
-of iterative refinement. The constraint products use CSR copies of G, G', A
-and A', also made once per solve.
+change between iterations and depends on (c, G, h, A) alone, not on b.
+
+So a `ConicProgram` works out, once, everything that does not depend on b:
+the KKT pattern with CSR copies of G, G', A and A'; a symmetric
+fill-reducing order of K; and K at W = I with its factor and the starting z.
+`solve_conic` takes such a program and b. Each iteration writes new values
+into the data array of the ordered K and factors it with SuperLU in that
+fixed order, with static regularization and one pass of iterative
+refinement. A quasi-definite K can be factored with diagonal pivots under
+any symmetric permutation (Vanderbei, SIAM J. Optim. 1995), so the order
+computed at W = I serves every iteration, as in ECOS (Domahidi, Chu and
+Boyd, ECC 2013).
 
 Only numpy/scipy are used; no external solver is wrapped.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -310,20 +318,22 @@ def _group_pairs(group: np.ndarray, n_groups: int):
 
 @dataclass
 class _KKTPattern:
-    """Fixed sparsity pattern of K = [[G'W^-2 G + delta I, A'], [A, -delta I]].
+    """Fixed sparsity pattern of P K P', K = [[G'W^-2 G + delta I, A'], [A, -delta I]].
 
     W^-2 = diag(d) + sum_k f_k a_k a_k', so G'W^-2 G couples two columns of
     G when they have nonzeros in one row (the diagonal part), or in one SOC
     block (the rank-one part). `slot` maps each such term, diagonal terms
-    first, to its entry of the CSC data array. G, G', A and A' ride along in
-    CSR form for the products of each iteration.
+    first, to its entry of the CSC data array. The symmetric permutation P
+    is the identity until `_reorder` sets one. G, G', A and A' ride along
+    in CSR form for the products of each iteration.
     """
 
     order: int
     indices: np.ndarray
     indptr: np.ndarray
     base: np.ndarray  # the constant entries: A, A' and the regularization
-    reg: np.ndarray  # +delta on the x block, -delta on the y block
+    reg: np.ndarray  # +delta on the x block, -delta on the y block, rows as P K P'
+    perm: np.ndarray  # the row of K at each row of P K P'
     slot: np.ndarray
     row_coef: np.ndarray  # G[i, p] G[i, q] of each same-row pair
     row: np.ndarray  # its row i
@@ -383,6 +393,7 @@ def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
         base=np.bincount(where[n_var:], weights=np.concatenate([reg, av, av]),
                          minlength=keys.size),
         reg=reg,
+        perm=diag,
         slot=where[:n_var],
         row_coef=gv[a] * gv[b],
         row=gi[a],
@@ -394,6 +405,26 @@ def _kkt_pattern(G: np.ndarray, A: np.ndarray, dims: ConeDims) -> _KKTPattern:
         pair_block=col_block[col_a],
         G=_csr(gi, gp, gv, G.shape), GT=_csr(gp[gt], gi[gt], gv[gt], G.T.shape),
         A=_csr(ai, ac, av, A.shape), AT=_csr(ac[at], ai[at], av[at], A.T.shape),
+    )
+
+
+def _reorder(pat: _KKTPattern, position: np.ndarray) -> _KKTPattern:
+    """The pattern with row and column i of its matrix moved to `position[i]`."""
+    N = pat.order
+    col = np.repeat(np.arange(N), np.diff(pat.indptr))
+    keys = position[col] * N + position[pat.indices]
+    order = np.argsort(keys)
+    moved_to = np.empty_like(order)  # new data slot of each old one
+    moved_to[order] = np.arange(order.size)
+    inverse = np.argsort(position)
+    return dataclasses.replace(
+        pat,
+        indices=keys[order] % N,
+        indptr=np.searchsorted(keys[order], np.arange(N + 1) * N),
+        base=pat.base[order],
+        reg=pat.reg[inverse],
+        perm=pat.perm[inverse],
+        slot=moved_to[pat.slot],
     )
 
 
@@ -418,83 +449,116 @@ def _kkt_refresh(K: scipy.sparse.csc_matrix, pat: _KKTPattern, sc: _Scaling) -> 
            out=K.data)
 
 
+def _factor(K: scipy.sparse.csc_matrix, permc_spec: str):
+    """SuperLU factor of a quasi-definite K with diagonal pivots."""
+    try:
+        # no supernode relaxation or panels, which only cost time on a
+        # matrix this sparse
+        return scipy.sparse.linalg.splu(
+            K, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+            relax=1, panel_size=1, options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: the factor is exactly singular
+        raise np.linalg.LinAlgError(str(exc)) from exc
+
+
+def _into_cone(u: np.ndarray, dims: ConeDims, e: np.ndarray) -> np.ndarray:
+    me = min_eig(u, dims)
+    return u if me > 0.0 else u + (1.0 + abs(me)) * e
+
+
 # -- the solver ------------------------------------------------------------
+
+_FAILURES = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
+
+class ConicProgram:
+    """The data (c, G, h, dims, A) of a cone program, prepared for solve_conic.
+
+    Holds what the solver derives from these alone, for every b: the KKT
+    pattern with CSR copies of G and A (the dense matrices are not kept),
+    ordered by one minimum-degree factor of K at W = I, and K at W = I in
+    that order with its factor and the starting z. The minimum-degree
+    permutation is applied through its inverse: SuperLU's perm_c gives the
+    new position of each column. `K` is None if the start at W = I fails
+    (K singular, or a non-finite solve); every solve then reports
+    "numerical".
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, c, G, h, dims: ConeDims, A=None):
+        self.c = np.asarray(c, dtype=float)
+        self.h = np.asarray(h, dtype=float)
+        self.dims = dims
+        G = np.asarray(G, dtype=float)
+        self.nx = nx = self.c.size
+        A = np.zeros((0, nx)) if A is None else np.asarray(A, dtype=float)
+        self.ny = A.shape[0]
+        if G.shape != (dims.total, nx) or A.shape != (self.ny, nx):
+            raise ValueError("constraint matrix shapes disagree with dims")
+        self.e = cone_identity(dims)
+        self.identity = _nt_scaling(self.e, self.e, dims)  # W = I
+        self.pattern = _kkt_pattern(G, A, dims)
+        try:
+            order = _factor(_kkt_matrix(self.pattern, self.identity), "MMD_AT_PLUS_A")
+            self.pattern = _reorder(self.pattern, order.perm_c)
+            self.K = _kkt_matrix(self.pattern, self.identity)
+            self.factor = _factor(self.K, "NATURAL")
+            dz = self.newton(self.K, self.factor, self.identity,
+                             -self.c, np.zeros(self.ny), np.zeros(dims.total))[2]
+            self.z0 = _into_cone(dz, dims, self.e)
+        except _FAILURES:
+            self.K = self.factor = self.z0 = None
+
+    def newton(self, K, factor, sc: _Scaling, rx, ry, rz_scaled):
+        """The direction (dx, dy, dz) at scaling `sc`, from K at `sc` and its factor.
+
+        Eliminates dz = W^-1 (W^-1 G dx - rz_scaled) from
+          G'W^-2 G dx + A'dy = rx + G'W^-1 rz_scaled ; A dx = ry
+        where rz_scaled = W^-1 rz - lambda \\ ds_target.
+        """
+        pat = self.pattern
+        w_rz = sc.unscale(rz_scaled)
+        rhs = np.concatenate([rx + pat.GT @ w_rz, ry])[pat.perm]
+        sol = factor.solve(rhs)
+        # one round of iterative refinement against the unregularized system
+        resid = rhs - (K @ sol - pat.reg * sol)
+        sol = sol + factor.solve(resid)
+        if not np.isfinite(sol).all():
+            raise FloatingPointError("KKT solve produced non-finite values")
+        out = np.empty_like(sol)
+        out[pat.perm] = sol
+        dx, dy = out[: self.nx], out[self.nx :]
+        return dx, dy, sc.unscale2(pat.G @ dx) - w_rz
 
 
 # overflow on a diverging iterate is caught by the finiteness guards
 @np.errstate(over="ignore", invalid="ignore")
-def solve_conic(
-    c: np.ndarray,
-    G: np.ndarray,
-    h: np.ndarray,
-    dims: ConeDims,
-    A: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-) -> ConicResult:
-    c = np.asarray(c, dtype=float)
-    G = np.asarray(G, dtype=float)
-    h = np.asarray(h, dtype=float)
-    nx = c.size
-    if A is None:
-        A = np.zeros((0, nx))
-        b = np.zeros(0)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ny = b.size
-    m = dims.total
-    if G.shape != (m, nx) or A.shape != (ny, nx):
-        raise ValueError("constraint matrix shapes disagree with dims")
-
-    e = cone_identity(dims)
-    rank = dims.rank
-    pattern = _kkt_pattern(G, A, dims)
+def solve_conic(prog: ConicProgram, b: np.ndarray | None = None) -> ConicResult:
+    """Solve the program with equality right-hand side b (none if A is None)."""
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (prog.ny,):
+        raise ValueError(f"b has {b.size} entries, A has {prog.ny} rows")
+    c, h, dims, e, pattern = prog.c, prog.h, prog.dims, prog.e, prog.pattern
     G, GT, A, AT = pattern.G, pattern.GT, pattern.A, pattern.AT
+    nx, ny, m = prog.nx, prog.ny, dims.total
+    rank = dims.rank
 
-    def kkt_factor():
-        try:
-            # a symmetric fill-reducing order with diagonal pivots suits a
-            # quasi-definite K; no supernode relaxation or panels, which
-            # only cost time on a matrix this sparse
-            return scipy.sparse.linalg.splu(
-                K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                relax=1, panel_size=1, options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:  # SuperLU: the factor is exactly singular
-            raise np.linalg.LinAlgError(str(exc)) from exc
-
-    def kkt_solve(factor, sc, rx, ry, rz_scaled):
-        # eliminate dz = W^-1 (W^-1 G dx - rz_scaled) from
-        #   G'W^-2 G dx + A'dy = rx + G'W^-1 rz_scaled ; A dx = ry
-        # where rz_scaled = W^-1 rz - lambda \ ds_target
-        w_rz = sc.unscale(rz_scaled)
-        rhs = np.concatenate([rx + GT @ w_rz, ry])
-        sol = factor.solve(rhs)
-        # one round of iterative refinement against the unregularized system
-        resid = rhs - (K @ sol - pattern.reg * sol)
-        sol = sol + factor.solve(resid)
-        if not np.isfinite(sol).all():
-            raise FloatingPointError("KKT solve produced non-finite values")
-        dx, dy = sol[:nx], sol[nx:]
-        return dx, dy, sc.unscale2(G @ dx) - w_rz
-
-    def into_cone(u):
-        me = min_eig(u, dims)
-        return u if me > 0.0 else u + (1.0 + abs(me)) * e
-
-    # -- starting point: least-norm primal/dual estimates nudged into K
+    # -- starting point: the least-norm primal estimate nudged into K; the
+    # dual one does not depend on b
     try:
-        identity = _nt_scaling(e, e, dims)  # W = I
-        K = _kkt_matrix(pattern, identity)  # each iteration refreshes its values
-        factor = kkt_factor()
-        x, y, _ = kkt_solve(factor, identity, np.zeros(nx), b, h)
-        s = into_cone(h - G @ x)
-        z = into_cone(kkt_solve(factor, identity, -c, np.zeros(ny), np.zeros(m))[2])
-    except (np.linalg.LinAlgError, FloatingPointError, ValueError):
+        if prog.K is None:
+            raise np.linalg.LinAlgError("K at W = I is singular")
+        x, y, _ = prog.newton(prog.K, prog.factor, prog.identity, np.zeros(nx), b, h)
+        s = _into_cone(h - G @ x, dims, e)
+    except _FAILURES:
         return ConicResult(
             x=np.full(nx, np.nan), s=np.full(m, np.nan), y=np.full(ny, np.nan),
             z=np.full(m, np.nan), status="numerical", iterations=0,
             pres=np.nan, dres=np.nan,
         )
+    z = prog.z0.copy()
+    K = prog.K.copy()  # each iteration refreshes its values
 
     bnorm = max(1.0, np.linalg.norm(b))
     hnorm = max(1.0, np.linalg.norm(h))
@@ -520,12 +584,12 @@ def solve_conic(
             sc = _nt_scaling(s, z, dims)
             lmbda = sc.lmbda
             _kkt_refresh(K, pattern, sc)
-            factor = kkt_factor()
+            factor = _factor(K, "NATURAL")
 
             # predictor: pure Newton direction toward the central path at 0,
             # whose ds target -lambda o lambda gives lambda \ target = -lambda
             w_rg = sc.unscale(-rg)
-            dxa, dya, dza = kkt_solve(factor, sc, -rd, -rp, w_rg + lmbda)
+            dxa, dya, dza = prog.newton(K, factor, sc, -rd, -rp, w_rg + lmbda)
             dsa = -rg - G @ dxa
 
             alpha_p = max_step(s, dsa, dims)
@@ -539,9 +603,9 @@ def solve_conic(
             target = -jordan_prod(lmbda, lmbda, dims) - eta + sigma * mu * e
             scale = 1.0 - sigma
             rz_scaled = scale * w_rg - jordan_div(lmbda, target, dims)
-            dx, dy, dz = kkt_solve(factor, sc, -scale * rd, -scale * rp, rz_scaled)
+            dx, dy, dz = prog.newton(K, factor, sc, -scale * rd, -scale * rp, rz_scaled)
             ds = -scale * rg - G @ dx
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
+        except _FAILURES:
             status = "numerical"
             break
 

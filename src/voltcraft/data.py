@@ -192,6 +192,19 @@ class SynthesisProfile:
     solar_peak_frac: float = 0.9  # clear-sky noon output over nameplate
     cloud_delta_frac: float = 0.15  # one-minute swing cap over nameplate
 
+    def __post_init__(self):
+        n = self.n_intervals
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n_intervals must be an integer >= 1, got {n!r}")
+        # each rule is written so that NaN fails it
+        if not (math.isfinite(self.interval_seconds) and self.interval_seconds > 0):
+            raise ValueError("interval_seconds must be finite and > 0, "
+                             f"got {self.interval_seconds!r}")
+        for name in ("load_peak_kw", "solar_peak_frac", "cloud_delta_frac"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
 
 def _diurnal_load(profile, hours, rng, n_buses):
     bump = (1.0 - LOAD_BASE) * 0.5

@@ -338,6 +338,8 @@ class Comparison:
     feasible: np.ndarray  # deterministic action keeps every bus in the band
     infer_s: np.ndarray  # wall time of each infer call
     baseline_s: np.ndarray  # wall time of each solve_baseline call
+    zero: np.ndarray  # loss of the trivial policy q = 0 (pu)
+    q_hi: np.ndarray  # loss of the trivial policy q = q_hi (pu)
 
 
 def compare_to_baseline(model: PolicyModel, network: NetworkModel, states) -> Comparison:
@@ -345,9 +347,11 @@ def compare_to_baseline(model: PolicyModel, network: NetworkModel, states) -> Co
 
     Per state, in this order: `infer` (timed), `evaluate_loss`, and
     `solve_baseline` (timed), so each `infer` runs right after the previous
-    state's solve.
+    state's solve; then, untimed, the losses of the trivial policies q = 0
+    and q = q_hi.
     """
     rows = []
+    zero = np.zeros(network.n_inverters)
     for s in states:
         t0 = time.perf_counter()
         q = infer(model, network, s, mode="deterministic")
@@ -355,7 +359,11 @@ def compare_to_baseline(model: PolicyModel, network: NetworkModel, states) -> Co
         ev = evaluate_loss(network, s, q)
         t0 = time.perf_counter()
         opt = solve_baseline(network, s).objective
-        rows.append((ev.objective, opt, ev.feasible, t_infer, time.perf_counter() - t0))
-    learned, optimal, feasible, infer_s, baseline_s = np.array(
-        rows, dtype=float).reshape(-1, 5).T
-    return Comparison(learned, optimal, feasible.astype(bool), infer_s, baseline_s)
+        t_base = time.perf_counter() - t0
+        rows.append((ev.objective, opt, ev.feasible, t_infer, t_base,
+                     evaluate_loss(network, s, zero).objective,
+                     evaluate_loss(network, s, network.q_hi).objective))
+    learned, optimal, feasible, infer_s, baseline_s, zero_loss, q_hi_loss = np.array(
+        rows, dtype=float).reshape(-1, 7).T
+    return Comparison(learned, optimal, feasible.astype(bool), infer_s, baseline_s,
+                      zero_loss, q_hi_loss)

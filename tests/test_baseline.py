@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import model_from_parents, single_line_model, zero_state
+from voltcraft import baseline, conic
 from voltcraft.baseline import (
     FEAS_TOL,
     KKT_TOL,
     _build_program,
     _extract,
+    _rhs,
     grid_search_oracle,
     solution_row,
     solve_baseline,
     trace_header,
 )
-from voltcraft.conic import solve_conic
+from voltcraft.conic import ConicProgram, solve_conic
+from voltcraft.data import SynthesisProfile, synthesize_timeseries
 from voltcraft.errors import (
     DimensionMismatch,
     Infeasible,
@@ -30,6 +38,20 @@ def mixed_state(seed=11):
     return GridState(
         p=rng.uniform(-0.2, 0.12, size=5), q_c=rng.uniform(0.0, 0.1, size=5)
     )
+
+
+def tight_band_case():
+    """One line whose +-0.1% voltage band no setpoint can hold at this state."""
+    model = NetworkModel(
+        lines=[Line(bus=1, parent=0, r=0.02, x=0.01)],
+        inverters=[InverterSpec(bus=1, p_rated=0.05)],
+        base_mva=1.0,
+        base_kv=12.47,
+        v0=1.0,
+        v_min=np.full(2, 0.999**2),
+        v_max=np.full(2, 1.001**2),
+    )
+    return model, GridState(p=np.array([-0.5]), q_c=np.array([0.1]))
 
 
 # -- solve_baseline --------------------------------------------------------
@@ -97,17 +119,7 @@ def test_exact_point_reproduced_by_power_flow(feeder6):
 
 
 def test_infeasible_band_diagnosed():
-    n = 1
-    model = NetworkModel(
-        lines=[Line(bus=1, parent=0, r=0.02, x=0.01)],
-        inverters=[InverterSpec(bus=1, p_rated=0.05)],
-        base_mva=1.0,
-        base_kv=12.47,
-        v0=1.0,
-        v_min=np.full(n + 1, 0.999**2),
-        v_max=np.full(n + 1, 1.001**2),
-    )
-    state = GridState(p=np.array([-0.5]), q_c=np.array([0.1]))
+    model, state = tight_band_case()
     with pytest.raises(Infeasible) as exc:
         solve_baseline(model, state)
     assert exc.value.max_violation > 0.0
@@ -118,13 +130,92 @@ def test_reversed_objective_breaks_exactness(feeder6):
     # maximizing loss leaves the cones strictly slack, which the
     # certificate has to flag
     state = mixed_state(11)
-    c, G, h, dims, A, b = _build_program(feeder6, state, elastic=False)
-    res = solve_conic(-c, G, h, dims, A, b)
+    c, G, h, dims, A = _build_program(feeder6, elastic=False)
+    res = solve_conic(ConicProgram(-c, G, h, dims, A), _rhs(feeder6, state))
     assert res.meets(1e-6)
     sol = _extract(feeder6, res.x, max(res.pres, res.dres, res.relgap),
                    res.iterations)
     assert not sol.exact
     assert np.max(np.abs(sol.cone_residuals)) > 1e-6
+
+
+# -- the program kept per model --------------------------------------------
+
+
+def assert_bitwise_equal(a, b):
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if dataclasses.is_dataclass(value):
+            assert_bitwise_equal(value, other)
+        else:
+            assert np.array_equal(value, other), name
+
+
+def test_solves_on_one_program_share_no_state(feeder6):
+    model = copy.deepcopy(feeder6)  # so that its first solve builds the program
+    first = solve_baseline(model, mixed_state(11))
+    solve_baseline(model, mixed_state(23))
+    assert_bitwise_equal(first, solve_baseline(model, mixed_state(11)))
+
+
+@pytest.fixture
+def kkt_patterns_built(monkeypatch):
+    built = []
+    original = conic._kkt_pattern
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(conic, "_kkt_pattern", counted)
+    return built
+
+
+def test_program_built_once_per_model(feeder6, kkt_patterns_built):
+    model = copy.deepcopy(feeder6)
+    for seed in (11, 23, 47):
+        assert solve_baseline(model, mixed_state(seed)).solver_status == "optimal"
+    assert len(kkt_patterns_built) == 1  # the primary program; no elastic one
+
+
+def test_elastic_program_built_on_first_failed_solve(kkt_patterns_built):
+    model, state = tight_band_case()
+    for _ in range(2):
+        with pytest.raises(Infeasible):
+            solve_baseline(model, state)
+    assert len(kkt_patterns_built) == 2  # the primary and the elastic program
+
+
+def test_program_cache_keeps_no_model_alive(feeder6):
+    model = copy.deepcopy(feeder6)
+    solve_baseline(model, mixed_state())
+    assert model in baseline._PROGRAMS
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+# interior-point iterations on the surrogate feeder, recorded before the KKT
+# ordering was fixed once per program: the order changes rounding only
+PINNED_ITERATIONS = {
+    (40.0, 432): 20, (40.0, 528): 13, (40.0, 1200): 18, (40.0, 2152): 17,
+    (10.0, 1056): 12, (10.0, 1416): 11, (10.0, 2640): 17, (10.0, 2716): 16,
+}
+
+
+@pytest.fixture(scope="module")
+def surrogate_days(surrogate47):
+    return {peak: synthesize_timeseries(
+        surrogate47, SynthesisProfile(load_peak_kw=peak), seed=0).intervals
+        for peak in (40.0, 10.0)}
+
+
+@pytest.mark.parametrize("peak_kw, interval", sorted(PINNED_ITERATIONS))
+def test_iteration_counts_pinned(surrogate47, surrogate_days, peak_kw, interval):
+    sol = solve_baseline(surrogate47, surrogate_days[peak_kw][interval])
+    assert sol.solver_status == "optimal"
+    assert sol.solver_iterations == PINNED_ITERATIONS[peak_kw, interval]
 
 
 # -- grid oracle -----------------------------------------------------------
@@ -174,17 +265,7 @@ def test_oracle_rejects_coarse_grid(feeder6):
 
 
 def test_oracle_no_feasible_point():
-    n = 1
-    model = NetworkModel(
-        lines=[Line(bus=1, parent=0, r=0.02, x=0.01)],
-        inverters=[InverterSpec(bus=1, p_rated=0.05)],
-        base_mva=1.0,
-        base_kv=12.47,
-        v0=1.0,
-        v_min=np.full(n + 1, 0.999**2),
-        v_max=np.full(n + 1, 1.001**2),
-    )
-    state = GridState(p=np.array([-0.5]), q_c=np.array([0.1]))
+    model, state = tight_band_case()
     with pytest.raises(NoFeasiblePoint):
         grid_search_oracle(model, state, 5)
 
@@ -211,9 +292,12 @@ def test_oracle_within_one_cell_of_baseline_1d():
 
 def test_trace_row_shapes(feeder6):
     header = trace_header(feeder6)
-    assert header[:4] == ["t", "objective", "exact", "max_cone_slack"]
-    assert len(header) == 4 + feeder6.n_inverters
+    assert header[:6] == ["t", "objective", "exact", "max_cone_slack",
+                          "solver_iterations", "solver_status"]
+    assert len(header) == 6 + feeder6.n_inverters
     sol = solve_baseline(feeder6, mixed_state())
     row = solution_row(7, sol)
     assert len(row) == len(header)
     assert row[0] == 7 and row[2] in (0, 1)
+    assert row[4:6] == [sol.solver_iterations, "optimal"]
+    assert row[4] > 0

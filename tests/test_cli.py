@@ -148,11 +148,13 @@ def test_baseline_csv_columns_and_rows(tmp_path, day_csv, capsys):
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",")[:4] == ["t", "objective", "exact", "max_cone_slack"]
+    assert lines[0].split(",")[:6] == ["t", "objective", "exact", "max_cone_slack",
+                                       "solver_iterations", "solver_status"]
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[1]) >= 0.0
     assert first[2] == "1"
+    assert int(first[4]) > 0 and first[5] == "optimal"
 
 
 def test_data_error_surfaces_as_record(tmp_path, capsys):
@@ -359,6 +361,12 @@ def test_compare_rows_are_the_shared_loop(tmp_path, day_csv, trained_model, caps
     printed = capsys.readouterr().out
     assert "relative gap:" in printed
     assert f"feasible: {res.feasible.sum()}/{len(states)}" in printed
+    # the trivial policies, priced apart from the shared loop
+    optimal = np.array([float(r.split(",")[2]) for r in rows])
+    for name, q in (("q = 0", np.zeros(net.n_inverters)), ("q = q_hi", net.q_hi)):
+        losses = np.array([evaluate_loss(net, s, q).objective for s in states])
+        gap = np.mean(losses - optimal) / optimal.mean() * 100
+        assert f"relative gap of {name}: {gap:.2f}%\n" in printed
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ references in oracles.py."""
 
 from __future__ import annotations
 
+import copy
 import sys
 
 import numpy as np
@@ -24,9 +25,12 @@ from voltcraft.baseline import _build_program, solve_baseline
 from voltcraft.conic import (
     KKT_REG,
     ConeDims,
+    ConicProgram,
+    _factor,
     _kkt_matrix,
     _kkt_pattern,
     _kkt_refresh,
+    _reorder,
     _nt_scaling,
     cone_identity,
     jordan_div,
@@ -246,11 +250,37 @@ def test_sparse_constraint_products(dims):
         close(M @ u, dense @ u)
 
 
+@pytest.mark.parametrize("dims", DIMS_CASES, ids=str)
+def test_reordered_kkt_is_a_symmetric_permutation(dims):
+    rng = np.random.default_rng(450 + dims.total)
+    G, A = random_sparse_program(rng, dims)
+    pattern = _kkt_pattern(G, A, dims)
+    position = rng.permutation(pattern.order)
+    ordered = _reorder(pattern, position)
+    p = ordered.perm
+    assert np.array_equal(p[position], np.arange(pattern.order))
+    assert np.array_equal(ordered.reg, pattern.reg[p])
+    sc = _nt_scaling(random_interior(rng, dims), random_interior(rng, dims), dims)
+    K = _kkt_matrix(pattern, sc).toarray()
+    assert np.array_equal(_kkt_matrix(ordered, sc).toarray(), K[np.ix_(p, p)])
+
+
+def test_fixed_order_fills_like_minimum_degree(surrogate47):
+    # SuperLU's perm_c gives the new position of each column; taken as the
+    # list of old columns instead, it fills L about four times as much
+    for elastic in (False, True):
+        c, G, h, dims, A = _build_program(surrogate47, elastic)
+        prog = ConicProgram(c, G, h, dims, A)
+        K = _kkt_matrix(_kkt_pattern(G, A, dims), prog.identity)
+        fresh = _factor(K, "MMD_AT_PLUS_A")
+        assert prog.factor.L.nnz == fresh.L.nnz
+        assert prog.factor.U.nnz == fresh.U.nnz
+
+
 def test_scattered_kkt_matches_dense_on_feeder(feeder6):
     rng = np.random.default_rng(4)
-    state = zero_state(feeder6)
     for elastic in (False, True):
-        _, G, _, dims, A, _ = _build_program(feeder6, state, elastic)
+        _, G, _, dims, A = _build_program(feeder6, elastic)
         pattern = _kkt_pattern(G, A, dims)
         s = random_interior(rng, dims)
         z = random_interior(rng, dims)
@@ -265,20 +295,27 @@ def singular_splu(*args, **kwargs):
 
 
 def test_singular_factor_reports_numerical(monkeypatch):
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_splu)
     c = np.array([1.0])
     G = np.array([[-1.0], [1.0]])
     h = np.array([0.0, 1.0])
-    res = solve_conic(c, G, h, ConeDims(nonneg=2))
-    assert res.status == "numerical"
-    assert not res.meets(1e-6)
+    dims = ConeDims(nonneg=2)
+    built = ConicProgram(c, G, h, dims)  # its first iteration fails
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_splu)
+    for prog, iterations in ((built, 1), (ConicProgram(c, G, h, dims), 0)):
+        res = solve_conic(prog)
+        assert res.status == "numerical"
+        assert res.iterations == iterations
+        assert not res.meets(1e-6)
 
 
 def test_singular_factor_falls_back_to_elastic(monkeypatch, feeder6):
+    # a model of its own: the programs built under the patch fail for good,
+    # and solve_baseline keeps them for as long as the model lives
+    model = copy.deepcopy(feeder6)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular_splu)
     pattern = "primary \\(numerical\\).*elastic \\(numerical\\)"
     with pytest.raises(NumericalError, match=pattern):
-        solve_baseline(feeder6, zero_state(feeder6))
+        solve_baseline(model, zero_state(model))
 
 
 # perfbench/tracing.py wraps these wherever a voltcraft module holds them and

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from oracles import dense_scaling
 from voltcraft.conic import (
     ConeDims,
+    ConicProgram,
     _nt_scaling,
     cone_identity,
     jordan_div,
@@ -82,7 +83,7 @@ def test_lp_unique_vertex():
     c = np.array([-2.0, -1.0])
     G = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     h = np.array([1.0, 0.0, 0.0])
-    res = solve_conic(c, G, h, ConeDims(nonneg=3))
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(nonneg=3)))
     assert res.meets(1e-8)
     assert res.pobj == pytest.approx(-2.0, abs=1e-8)
     assert np.allclose(res.x, [1.0, 0.0], atol=1e-7)
@@ -94,7 +95,7 @@ def test_lp_degenerate_face_still_usable():
     c = np.array([-1.0, -1.0])
     G = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     h = np.array([1.0, 0.0, 0.0])
-    res = solve_conic(c, G, h, ConeDims(nonneg=3))
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(nonneg=3)))
     assert res.meets(1e-8)
     assert res.pobj == pytest.approx(-1.0, abs=1e-7)
 
@@ -106,7 +107,7 @@ def test_socp_norm_point():
     h = np.zeros(3)
     A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     b = np.array([1.0, 2.0])
-    res = solve_conic(c, G, h, ConeDims(soc=(3,)), A, b)
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(soc=(3,)), A), b)
     assert res.status == "optimal"
     assert res.pobj == pytest.approx(np.sqrt(5.0), abs=1e-8)
 
@@ -116,7 +117,7 @@ def test_infeasible_problem_reports_bad_residuals():
     c = np.array([1.0])
     G = np.array([[1.0], [-1.0]])
     h = np.array([-1.0, -1.0])
-    res = solve_conic(c, G, h, ConeDims(nonneg=2))
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(nonneg=2)))
     assert not res.meets(1e-6)
 
 
@@ -131,7 +132,7 @@ def test_random_box_lp_matches_linprog(seed):
     b = A @ x0
     G = np.vstack([np.eye(n), -np.eye(n)])
     h = np.ones(2 * n)
-    res = solve_conic(c, G, h, ConeDims(nonneg=2 * n), A, b)
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(nonneg=2 * n), A), b)
     ref = linprog(
         c, A_eq=A if ne else None, b_eq=b if ne else None,
         bounds=[(-1, 1)] * n, method="highs",
@@ -158,7 +159,7 @@ def test_random_projection_socp(seed):
     G[1:, 1:] = -np.eye(n)
     h = np.concatenate([[0.0], -y0])
     Aeq = np.hstack([np.zeros((ne, 1)), A])
-    res = solve_conic(c, G, h, ConeDims(soc=(n + 1,)), Aeq, b)
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(soc=(n + 1,)), Aeq), b)
     lam = np.linalg.solve(A @ A.T, A @ y0 - b)
     x_star = y0 - A.T @ lam
     t_star = np.linalg.norm(x_star - y0)
@@ -175,7 +176,7 @@ def test_random_lp_property(seed):
     c = rng.normal(size=n)
     G = np.vstack([np.eye(n), -np.eye(n)])
     h = rng.uniform(0.5, 2.0, size=2 * n)
-    res = solve_conic(c, G, h, ConeDims(nonneg=2 * n))
+    res = solve_conic(ConicProgram(c, G, h, ConeDims(nonneg=2 * n)))
     # separable box LP solves in closed form
     lo, hi = -h[n:], h[:n]
     x_star = np.where(c >= 0, lo, hi)

@@ -1,6 +1,11 @@
 """Time-series ingestion, synthesis, and CSV round-trip behavior."""
 
+import json
 import math
+import subprocess
+import sys
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from voltcraft.errors import (
 from voltcraft.trainer import dataset_fingerprint
 
 from conftest import model_from_parents
+
+FEEDER6 = files("voltcraft").joinpath("feeders/feeder6.json")
 
 
 def two_inverter_net():
@@ -224,6 +231,42 @@ def test_zero_amplitude_profile_all_zero():
     ds = synthesize_timeseries(m, prof, seed=4)
     for s in ds.intervals:
         assert np.all(s.p == 0.0) and np.all(s.q_c == 0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_intervals", 0), ("n_intervals", -3), ("n_intervals", 2.0), ("n_intervals", True),
+    ("interval_seconds", 0.0), ("interval_seconds", -30.0),
+    ("interval_seconds", math.inf), ("interval_seconds", math.nan),
+    ("load_peak_kw", -1.0), ("load_peak_kw", math.inf), ("load_peak_kw", math.nan),
+    ("solar_peak_frac", -0.5), ("solar_peak_frac", math.nan),
+    ("cloud_delta_frac", -1.0), ("cloud_delta_frac", math.inf),
+])
+def test_profile_rejects_bad_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        SynthesisProfile(**{name: value})
+
+
+def test_profile_accepts_boundary_values():
+    m = two_inverter_net()
+    prof = SynthesisProfile(n_intervals=1, load_peak_kw=0.0, solar_peak_frac=0.0,
+                            cloud_delta_frac=0.0)
+    assert len(synthesize_timeseries(m, prof, seed=0)) == 1
+
+
+def test_make_dataset_bad_profile_error_record(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_dataset.py"
+    out = tmp_path / "day.csv"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--network", str(FEEDER6), "--out", str(out),
+         "--intervals", "0"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    record = json.loads(proc.stderr)
+    assert record["error"] == "ParseError"
+    assert "n_intervals" in record["message"]
+    assert not out.exists()
 
 
 def test_night_generation_exactly_zero():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import single_line_model, zero_state
-from voltcraft.baseline import _build_program, grid_search_oracle, solve_baseline
-from voltcraft.conic import solve_conic
+from voltcraft.baseline import _build_program, _rhs, grid_search_oracle, solve_baseline
+from voltcraft.conic import ConicProgram, solve_conic
 from voltcraft.network import GridState
 
 
@@ -16,7 +16,8 @@ def test_solver_counts_are_fields_of_their_own(feeder6):
         p=rng.uniform(-0.2, 0.12, size=5), q_c=rng.uniform(0.0, 0.1, size=5)
     )
     sol = solve_baseline(feeder6, state)
-    res = solve_conic(*_build_program(feeder6, state, elastic=False))
+    program = ConicProgram(*_build_program(feeder6, elastic=False))
+    res = solve_conic(program, _rhs(feeder6, state))
     assert sol.solver_iterations == res.iterations > 0
     assert sol.solver_status == res.status == "optimal"
     # no power-flow sweep ran; the residual is the branch-flow equality's

@@ -447,10 +447,13 @@ def test_compare_to_baseline_per_state_arrays(feeder6):
     )
     states = ds.test_states
     res = compare_to_baseline(pol, feeder6, states)
-    for a in (res.learned, res.optimal, res.feasible, res.infer_s, res.baseline_s):
+    for a in (res.learned, res.optimal, res.feasible, res.infer_s, res.baseline_s,
+              res.zero, res.q_hi):
         assert a.shape == (len(states),)
     assert res.feasible.dtype == bool
     assert np.all(res.learned >= res.optimal - 1e-8)
+    assert np.all(res.zero >= res.optimal - 1e-8)
+    assert np.all(res.q_hi >= res.optimal - 1e-8)
     assert np.all(res.infer_s > 0) and np.all(res.baseline_s > 0)
     for k in (0, len(states) - 1):
         ev = evaluate_loss(
@@ -459,6 +462,9 @@ def test_compare_to_baseline_per_state_arrays(feeder6):
         assert res.learned[k] == ev.objective
         assert res.feasible[k] == ev.feasible
         assert res.optimal[k] == solve_baseline(feeder6, states[k]).objective
+        zero = np.zeros(feeder6.n_inverters)
+        assert res.zero[k] == evaluate_loss(feeder6, states[k], zero).objective
+        assert res.q_hi[k] == evaluate_loss(feeder6, states[k], feeder6.q_hi).objective
     assert compare_to_baseline(pol, feeder6, []).learned.shape == (0,)
 
 
