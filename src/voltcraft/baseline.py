@@ -279,7 +279,7 @@ def grid_search_oracle(
 def trace_header(model: NetworkModel) -> list[str]:
     qcols = [f"q_g_{model.labels[inv.bus]}" for inv in model.inverters]
     return ["t", "objective", "exact", "max_cone_slack", "solver_iterations",
-            "solver_status"] + qcols
+            "solver_status", "kkt_residual"] + qcols
 
 
 def solution_row(t: int, sol: OpfSolution) -> list:
@@ -287,4 +287,4 @@ def solution_row(t: int, sol: OpfSolution) -> list:
         float(np.max(np.abs(sol.cone_residuals))) if sol.cone_residuals.size else 0.0
     )
     return [t, sol.objective, int(sol.exact), max_slack, sol.solver_iterations,
-            sol.solver_status] + [float(q) for q in sol.q_g_star]
+            sol.solver_status, sol.kkt_residual] + [float(q) for q in sol.q_g_star]

@@ -63,17 +63,29 @@ class PolicyModel:
         m = self.q_lo.size
         if self.q_hi.size != m or sizes[-1] != 2 * m:
             raise DimensionMismatch("output layer must emit (mu, sigma) per inverter")
+        if not (np.all(np.isfinite(self.q_lo)) and np.all(np.isfinite(self.q_hi))):
+            raise NonFiniteActivation("action box must be finite")
         if np.any(self.q_lo >= self.q_hi):
             raise DimensionMismatch("action box must have lo < hi")
-        if not self.sigma_floor > 0:
-            raise ValueError("sigma_floor must be positive")
+        if not 0 < self.sigma_floor < math.inf:
+            raise ValueError("sigma_floor must be positive and finite")
         if self.input_mean is None:
             self.input_mean = np.zeros(sizes[0])
         if self.input_std is None:
             self.input_std = np.ones(sizes[0])
-        for arr in self.weights + self.biases:
+        for name in ("input_mean", "input_std"):
+            if getattr(self, name).shape != (sizes[0],):
+                raise DimensionMismatch(
+                    f"{name} has shape {getattr(self, name).shape}, expected "
+                    f"({sizes[0]},)"
+                )
+        for arr in self.weights + self.biases + [self.input_mean, self.input_std]:
             if not np.all(np.isfinite(arr)):
-                raise NonFiniteActivation("model parameters must be finite")
+                raise NonFiniteActivation(
+                    "model parameters and input statistics must be finite"
+                )
+        if np.any(self.input_std <= 0):
+            raise ValueError("input_std must be positive")
 
     @property
     def n_actions(self) -> int:
@@ -174,40 +186,57 @@ def _input_vector(model: PolicyModel, s) -> np.ndarray:
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; for z < 0 it is exp(z)
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _forward_cached(model: PolicyModel, s):
-    x = _input_vector(model, s)
-    pre_acts = []
-    h = x
-    hs = [x]
-    n_layers = len(model.weights)
-    for i, (W, b) in enumerate(zip(model.weights, model.biases)):
+def _layers(model: PolicyModel, s):
+    """Raw outputs of the last layer, with the layer inputs `hs` and the
+    hidden pre-activations that the backward pass reuses."""
+    h = _input_vector(model, s)
+    hs, pre_acts = [h], []
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
         z = W @ h + b
         pre_acts.append(z)
-        h = np.maximum(z, 0.0) if i < n_layers - 1 else z
+        h = np.maximum(z, 0.0)
         hs.append(h)
-    raw = hs[-1]
-    if not np.all(np.isfinite(raw)):
+    raw = model.weights[-1] @ h + model.biases[-1]
+    if not np.isfinite(raw).all():
         raise NonFiniteActivation("non-finite value in the forward pass")
+    return raw, hs, pre_acts
+
+
+def _mean(model: PolicyModel, a):
+    """The box-squashed mean of the head's first M raw outputs, and their logistic."""
+    sig_a = _sigmoid(a)
+    return model.q_lo + (model.q_hi - model.q_lo) * sig_a, sig_a
+
+
+def _forward_cached(model: PolicyModel, s):
+    raw, hs, pre_acts = _layers(model, s)
     m = model.n_actions
     a, braw = raw[:m], raw[m:]
-    sig_a = _sigmoid(a)
-    width = model.q_hi - model.q_lo
-    mu = model.q_lo + width * sig_a
+    mu, sig_a = _mean(model, a)
     sigma = _softplus(braw) + model.sigma_floor
     cache = (hs, pre_acts, sig_a, braw)
     return mu, sigma, cache
+
+
+def mean_action(model: PolicyModel, s) -> np.ndarray:
+    """The deterministic action for state s: the mean clipped to the box.
+
+    Equal bit for bit to `np.clip(policy_distribution(model, s).mu, q_lo,
+    q_hi)`, but computes neither the deviation nor the training caches.
+    """
+    raw, _, _ = _layers(model, s)
+    mu, _ = _mean(model, raw[: model.n_actions])
+    return np.minimum(np.maximum(mu, model.q_lo), model.q_hi)
 
 
 def policy_distribution(model: PolicyModel, s) -> TruncatedGaussian:
@@ -355,5 +384,6 @@ def load(path) -> PolicyModel:
         )
     except VersionMismatch:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionMismatch,
+            NonFiniteActivation) as exc:
         raise ParseError(f"{path}: malformed model file ({exc})") from exc

@@ -33,6 +33,7 @@ from .policy import (
     get_flat_params,
     grad_log_prob,
     init_policy,
+    mean_action,
     policy_distribution,
     sample,
     set_flat_params,
@@ -321,11 +322,11 @@ def infer(
             f"model emits {model.n_actions} actions, feeder has "
             f"{network.n_inverters} inverters"
         )
-    dist = policy_distribution(model, state)
-    if mode == "sample":
-        return sample(dist, rng if rng is not None else np.random.default_rng())
     if mode == "deterministic":
-        return np.clip(dist.mu, model.q_lo, model.q_hi)
+        return mean_action(model, state)
+    if mode == "sample":
+        return sample(policy_distribution(model, state),
+                      rng if rng is not None else np.random.default_rng())
     raise ValueError(f"unknown inference mode {mode!r}")
 
 

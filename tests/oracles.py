@@ -5,7 +5,9 @@ a closed-form quadratic, and the general case runs a successive-substitution
 sweep on complex phasors (voltages and currents) rather than on the squared
 branch-flow variables. The cone operations and the Nesterov-Todd scaling are
 the interior-point solver's original versions, one cone block at a time with
-dense blocks, kept as references for its vectorised ones.
+dense blocks, kept as references for its vectorised ones. The masked logistic
+is the policy head's original one, kept as the reference for its branch-free
+one.
 """
 
 from __future__ import annotations
@@ -86,6 +88,19 @@ def phasor_sweep(parent, r, x, p_inj, q_inj, v0=1.0, tol=1e-14, max_iter=500):
     v = np.abs(V) ** 2
     S_front = np.array([V[parent[i]] * np.conj(I[i]) for i in range(n)])
     return S_front.real, S_front.imag, l, v
+
+
+# -- policy head ------------------------------------------------------------
+
+
+def sigmoid_masked(z):
+    """The policy's original logistic: each sign through its own boolean mask."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 # -- truncated-Gaussian references (quadrature, no scipy.special) ----------

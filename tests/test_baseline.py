@@ -292,12 +292,14 @@ def test_oracle_within_one_cell_of_baseline_1d():
 
 def test_trace_row_shapes(feeder6):
     header = trace_header(feeder6)
-    assert header[:6] == ["t", "objective", "exact", "max_cone_slack",
-                          "solver_iterations", "solver_status"]
-    assert len(header) == 6 + feeder6.n_inverters
+    assert header[:7] == ["t", "objective", "exact", "max_cone_slack",
+                          "solver_iterations", "solver_status", "kkt_residual"]
+    assert len(header) == 7 + feeder6.n_inverters
     sol = solve_baseline(feeder6, mixed_state())
     row = solution_row(7, sol)
     assert len(row) == len(header)
     assert row[0] == 7 and row[2] in (0, 1)
-    assert row[4:6] == [sol.solver_iterations, "optimal"]
+    assert row[4:7] == [sol.solver_iterations, "optimal", sol.kkt_residual]
     assert row[4] > 0
+    assert 0.0 <= row[6] <= KKT_TOL
+    assert row[7:] == list(sol.q_g_star)

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, determinism, error records."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import voltcraft
 from voltcraft import policy
-from voltcraft.baseline import solve_baseline
+from voltcraft.baseline import KKT_TOL, solve_baseline
 from voltcraft.cli import main
 from voltcraft.data import (
     SynthesisProfile,
@@ -148,13 +149,15 @@ def test_baseline_csv_columns_and_rows(tmp_path, day_csv, capsys):
     ])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",")[:6] == ["t", "objective", "exact", "max_cone_slack",
-                                       "solver_iterations", "solver_status"]
+    assert lines[0].split(",")[:7] == ["t", "objective", "exact", "max_cone_slack",
+                                       "solver_iterations", "solver_status",
+                                       "kkt_residual"]
     assert len(lines) == 5
     first = lines[1].split(",")
     assert float(first[1]) >= 0.0
     assert first[2] == "1"
     assert int(first[4]) > 0 and first[5] == "optimal"
+    assert 0.0 <= float(first[6]) <= KKT_TOL
 
 
 def test_data_error_surfaces_as_record(tmp_path, capsys):
@@ -392,16 +395,66 @@ def test_empty_selection_error_record(tmp_path, day_csv, trained_model, capsys,
     assert captured.out == ""
 
 
+def check_bench_output(out, n):
+    lines = out.splitlines()
+    assert lines[0] == f"intervals: {n}"
+    # the 95th percentile only once at least 10 samples lie beyond it
+    tail = n >= 200
+    assert lines[1].split() == ["phase", "median_ms"] + ["p95_ms"] * tail
+    for line, phase in zip(lines[2:4], ("infer", "baseline")):
+        fields = line.split()
+        assert fields[0] == phase and len(fields) == 2 + tail
+        assert all(float(v) > 0.0 for v in fields[1:])
+    assert lines[4].startswith("median ratio (infer/baseline):")
+    ratio = float(lines[4].rsplit(":", 1)[1])
+    assert 0.0 < ratio < 1.0
+    assert len(lines) == 5
+
+
 def test_bench_prints_ratio(day_csv, trained_model, capsys):
     rc = main([
         "bench", "--model", trained_model, "--network", FEEDER6,
         "--data", day_csv, "--limit", "10",
     ])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "median ratio (infer/baseline):" in out
-    ratio = float(out.rsplit(":", 1)[1])
-    assert 0.0 < ratio < 1.0
+    check_bench_output(capsys.readouterr().out, 10)
+
+
+@pytest.mark.parametrize("n", [199, 200])
+def test_bench_prints_p95_from_200_intervals(tmp_path, trained_model, capsys, n):
+    m = load_network(FEEDER6)
+    data = tmp_path / "day.csv"
+    write_timeseries(data, m, synthesize_timeseries(
+        m, SynthesisProfile(n_intervals=n, load_peak_kw=30.0), seed=1))
+    rc = main(["bench", "--model", trained_model, "--network", FEEDER6,
+               "--data", str(data)])
+    assert rc == 0
+    check_bench_output(capsys.readouterr().out, n)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("input_mean", lambda v: v[:-1]), ("action_hi", lambda v: [math.inf] * len(v)),
+     ("action_lo", lambda v: [math.nan] * len(v))],
+    ids=["mean-short", "box-inf", "box-nan"],
+)
+def test_infer_bad_model_file_error_record(tmp_path, day_csv, trained_model, capsys,
+                                           field, value):
+    doc = json.loads(Path(trained_model).read_text())
+    doc[field] = value(doc[field])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "i.csv"
+    rc = main(["infer", "--model", str(bad), "--network", FEEDER6, "--data", day_csv,
+               "--deterministic", "--out", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    record = json.loads(captured.err)
+    assert record["error"] == "ParseError"
+    assert str(bad) in record["message"]
+    assert not out.exists()
 
 
 def test_module_entry_point_runs():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import model_from_parents, mu_sigma
 from oracles import (
     dmu_expectation_quad,
+    sigmoid_masked,
     trunc_logpdf_quad,
     trunc_moments_quad,
 )
@@ -34,11 +35,13 @@ from voltcraft.policy import (
     PolicyModel,
     TruncatedGaussian,
     _dlogp_dmu_dsigma,
+    _sigmoid,
     get_flat_params,
     grad_log_prob,
     init_policy,
     load,
     log_prob,
+    mean_action,
     policy_distribution,
     sample,
     save,
@@ -179,6 +182,42 @@ def test_nonfinite_parameters_rejected_at_construction():
         )
 
 
+# each case: the constructor field it breaks, how, and the error it raises
+BAD_MODEL_FIELDS = [
+    ("input_mean", lambda v: v[:-1], DimensionMismatch),
+    ("input_std", lambda v: np.append(v, 1.0), DimensionMismatch),
+    ("input_mean", lambda v: np.where(np.arange(v.size) == 2, np.nan, v),
+     NonFiniteActivation),
+    ("input_std", lambda v: np.where(np.arange(v.size) == 0, np.inf, v),
+     NonFiniteActivation),
+    ("input_std", lambda v: np.where(np.arange(v.size) == 1, 0.0, v), ValueError),
+    ("input_std", lambda v: -v, ValueError),
+    ("q_lo", lambda v: np.full_like(v, -np.inf), NonFiniteActivation),
+    ("q_hi", lambda v: np.where(np.arange(v.size) == 0, np.inf, v),
+     NonFiniteActivation),
+    ("q_hi", lambda v: np.full_like(v, np.nan), NonFiniteActivation),
+    ("sigma_floor", lambda v: v * np.inf, ValueError),
+]
+BAD_MODEL_IDS = ["mean-short", "std-long", "mean-nan", "std-inf", "std-zero",
+                 "std-negative", "lo-inf", "hi-inf", "hi-nan", "floor-inf"]
+
+
+def model_fields(pol):
+    return dict(layer_sizes=pol.layer_sizes, weights=pol.weights, biases=pol.biases,
+                q_lo=pol.q_lo, q_hi=pol.q_hi, sigma_floor=pol.sigma_floor,
+                input_mean=np.linspace(-0.02, 0.03, 6),
+                input_std=np.linspace(0.9, 1.4, 6))
+
+
+@pytest.mark.parametrize("name, corrupt, error", BAD_MODEL_FIELDS, ids=BAD_MODEL_IDS)
+def test_input_statistics_and_box_checked_at_construction(name, corrupt, error):
+    fields = model_fields(init_policy(three_bus_net(), hidden=(4,), seed=0))
+    PolicyModel(**fields)
+    fields[name] = corrupt(fields[name])
+    with pytest.raises(error):
+        PolicyModel(**fields)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000), scale=st.floats(0.0, 5.0))
 def test_forward_output_invariants(seed, scale):
@@ -190,6 +229,43 @@ def test_forward_output_invariants(seed, scale):
     assert np.all(mu > pol.q_lo) and np.all(mu < pol.q_hi)
     assert np.all(sigma >= pol.sigma_floor)
     assert np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))
+
+
+# -- serving path ------------------------------------------------------------
+
+
+SIGMOID_SPECIALS = [0.0, 1e-300, 1.0, 36.0, 709.0, 746.0, np.inf]
+
+
+def test_sigmoid_matches_masked_oracle_bitwise():
+    rng = np.random.default_rng(11)
+    z = np.concatenate([
+        SIGMOID_SPECIALS, np.negative(SIGMOID_SPECIALS), [np.nan],
+        rng.standard_normal(100_000) * 10.0 ** rng.uniform(-3.0, 3.0, 100_000),
+    ])
+    got, ref = _sigmoid(z), sigmoid_masked(z)
+    # NaN stays NaN, but -abs sets its sign bit; the forward pass raises on
+    # a non-finite raw output before the logistic sees it
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(got), nan) and np.all(np.isnan(ref[nan]))
+    # bitwise elsewhere, so that -0.0 against 0.0 counts too
+    assert got[~nan].tobytes() == ref[~nan].tobytes()
+    assert got[0] == 0.5 and got[7] == 0.5  # +0.0 and -0.0
+
+
+def test_mean_action_overflow_in_sigma_rows_alone_raises():
+    # one affine layer; the mean rows stay finite, the sigma rows overflow
+    net = three_bus_net()
+    pol = PolicyModel(layer_sizes=[6, 4], weights=[np.zeros((4, 6))],
+                      biases=[np.zeros(4)], q_lo=net.q_lo, q_hi=net.q_hi)
+    pol.weights[0][2:] = 1e308  # set after construction, past its check
+    x = np.ones(6)
+    assert np.all(np.isfinite(pol.weights[0][:2] @ x))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteActivation):
+            mean_action(pol, x)
+        with pytest.raises(NonFiniteActivation):
+            policy_distribution(pol, x)
 
 
 # -- sampling --------------------------------------------------------------
@@ -480,6 +556,19 @@ def test_load_missing_field(tmp_path):
     doc = json.loads(path.read_text())
     del doc["layers"]
     path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError):
+        load(path)
+
+
+@pytest.mark.parametrize("name, corrupt, error", BAD_MODEL_FIELDS, ids=BAD_MODEL_IDS)
+def test_load_bad_statistics_or_box_is_parse_error(tmp_path, name, corrupt, error):
+    path = tmp_path / "model.json"
+    save(PolicyModel(**model_fields(init_policy(three_bus_net(), hidden=(4,), seed=0))),
+         path)
+    doc = json.loads(path.read_text())
+    key = {"q_lo": "action_lo", "q_hi": "action_hi"}.get(name, name)
+    doc[key] = corrupt(np.array(doc[key])).tolist()
+    path.write_text(json.dumps(doc))  # writes inf and nan as Infinity and NaN
     with pytest.raises(ParseError):
         load(path)
 

@@ -432,10 +432,45 @@ def test_infer_errors():
     net, states = small_setup()
     pol = init_policy(net, hidden=(4,), seed=0)
     other = single_line_model(r=0.02, x=0.01)
-    with pytest.raises(DimensionMismatch):
-        infer(pol, other, states[0])
+    for mode in ("sample", "deterministic"):
+        with pytest.raises(DimensionMismatch):
+            infer(pol, other, states[0], mode=mode)
+        with pytest.raises(DimensionMismatch):
+            infer(pol, net, np.zeros(3), mode=mode)
     with pytest.raises(ValueError):
         infer(pol, net, states[0], mode="greedy")
+
+
+@pytest.fixture(scope="module")
+def surrogate_days(surrogate47):
+    """Held-out states of the stock and the high-PV day, and a policy
+    trained for one epoch on the stock day."""
+    days = [synthesize_timeseries(surrogate47, SynthesisProfile(load_peak_kw=peak),
+                                  seed=0) for peak in (40.0, 10.0)]
+    pol, _, _ = run_training(surrogate47, days[0].train_states,
+                             TrainConfig(epochs=1, seed=0))
+    return pol, [s for ds in days for s in ds.test_states]
+
+
+@pytest.mark.parametrize("scale", [1.0, 50.0])
+def test_deterministic_infer_is_distribution_mean_bitwise(surrogate47, surrogate_days,
+                                                          scale):
+    trained, states = surrogate_days
+    pol = PolicyModel(
+        layer_sizes=trained.layer_sizes,
+        weights=[W * scale for W in trained.weights],
+        biases=[b * scale for b in trained.biases],
+        q_lo=trained.q_lo, q_hi=trained.q_hi, sigma_floor=trained.sigma_floor,
+        input_mean=trained.input_mean, input_std=trained.input_std,
+    )
+    served = np.array([infer(pol, surrogate47, s, mode="deterministic")
+                       for s in states])
+    means = np.array([np.clip(policy_distribution(pol, s).mu, pol.q_lo, pol.q_hi)
+                      for s in states])
+    assert np.array_equal(served, means)
+    if scale > 1.0:
+        # the logistic saturates at both ends of the box
+        assert np.any(served == pol.q_lo) and np.any(served == pol.q_hi)
 
 
 def test_compare_to_baseline_per_state_arrays(feeder6):
