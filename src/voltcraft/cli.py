@@ -181,13 +181,9 @@ def cmd_train(args) -> int:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "raw_loss", "running_avg", "feasible"])
-            for row in trace.rows():
-                writer.writerow([
-                    row["step"],
-                    _G % row["raw_loss"],
-                    _G % row["running_avg"],
-                    int(row["feasible"]),
-                ])
+            for step, (raw, avg, feasible) in enumerate(
+                    zip(trace.raw, trace.running_avg, trace.feasible)):
+                writer.writerow([step, _G % raw, _G % avg, int(feasible)])
     print(f"trained on {len(states)} intervals, {manifest['updates']} updates")
     print(f"model: {args.out}")
     print(f"manifest: {manifest_path}")

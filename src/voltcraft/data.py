@@ -84,21 +84,11 @@ def contiguous_split(n: int):
 
 def _states_from_kw(model, timestamps, load_kw, gen_kw, power_factor):
     rq = reactive_factor(power_factor)
-    states = []
-    gen_col = {bus: j for j, bus in enumerate(model.inverter_buses)}
-    for i, t in enumerate(timestamps):
-        p_kw = -load_kw[i].copy()
-        for bus, j in gen_col.items():
-            p_kw[bus - 1] += gen_kw[i, j]
-        q_c_kw = load_kw[i] * rq
-        states.append(
-            GridState(
-                p=model.kw_to_pu(p_kw),
-                q_c=model.kw_to_pu(q_c_kw),
-                timestamp=float(t),
-            )
-        )
-    return states
+    p_kw = -load_kw
+    p_kw[:, model.inverter_buses - 1] += gen_kw  # the model allows one inverter a bus
+    p, q_c = model.kw_to_pu(p_kw), model.kw_to_pu(load_kw * rq)
+    return [GridState(p=p[i], q_c=q_c[i], timestamp=float(t))
+            for i, t in enumerate(timestamps)]
 
 
 def load_timeseries(

@@ -112,13 +112,6 @@ class TruncatedGaussian:
             raise DimensionMismatch("sigma must be positive and finite")
 
 
-@dataclass
-class PolicyGradientRecord:
-    action: np.ndarray
-    log_prob: float
-    grad_theta_log_prob: np.ndarray
-
-
 # -- parameter flattening --------------------------------------------------
 
 
@@ -249,9 +242,28 @@ def policy_distribution(model: PolicyModel, s) -> TruncatedGaussian:
 
 
 def _standardized(dist: TruncatedGaussian):
+    """The box edges in units of sigma from the mean, the lower edge's
+    cumulative probability, and the mass the box holds."""
     alpha = (dist.lo - dist.mu) / dist.sigma
     beta = (dist.hi - dist.mu) / dist.sigma
-    return alpha, beta
+    cdf_lo = ndtr(alpha)
+    mass = ndtr(beta) - cdf_lo
+    if np.any(mass < 1e-300):
+        raise DegenerateSupport("truncated mass underflows; support unusable")
+    return alpha, beta, cdf_lo, mass
+
+
+def _standardized_action(dist: TruncatedGaussian, action) -> np.ndarray:
+    """The action in units of sigma from the mean, once it is checked to
+    have the distribution's shape and to lie in its support."""
+    action = np.asarray(action, dtype=float)
+    if action.shape != dist.mu.shape:
+        raise DimensionMismatch(
+            f"action shape {action.shape} vs distribution {dist.mu.shape}"
+        )
+    if np.any(action < dist.lo - 1e-12) or np.any(action > dist.hi + 1e-12):
+        raise OutOfSupport("action outside the truncation box")
+    return (action - dist.mu) / dist.sigma
 
 
 def _phi(t):
@@ -260,39 +272,23 @@ def _phi(t):
 
 def sample(dist: TruncatedGaussian, rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF draw; never leaves [lo, hi]."""
-    alpha, beta = _standardized(dist)
-    cdf_lo = ndtr(alpha)
-    cdf_hi = ndtr(beta)
-    mass = cdf_hi - cdf_lo
-    if np.any(mass < 1e-300):
-        raise DegenerateSupport("truncated mass underflows; support unusable")
+    _, _, cdf_lo, mass = _standardized(dist)
     u = rng.random(dist.mu.size)
     q = dist.mu + dist.sigma * ndtri(cdf_lo + u * mass)
     return np.clip(q, dist.lo, dist.hi)
 
 
 def log_prob(dist: TruncatedGaussian, action: np.ndarray) -> float:
-    action = np.asarray(action, dtype=float)
-    if action.shape != dist.mu.shape:
-        raise DimensionMismatch(
-            f"action shape {action.shape} vs distribution {dist.mu.shape}"
-        )
-    if np.any(action < dist.lo - 1e-12) or np.any(action > dist.hi + 1e-12):
-        raise OutOfSupport("action outside the truncation box")
-    alpha, beta = _standardized(dist)
-    mass = ndtr(beta) - ndtr(alpha)
-    if np.any(mass < 1e-300):
-        raise DegenerateSupport("truncated mass underflows; support unusable")
-    t = (action - dist.mu) / dist.sigma
+    t = _standardized_action(dist, action)
+    _, _, _, mass = _standardized(dist)
     terms = -0.5 * t * t - LOG_SQRT_2PI - np.log(dist.sigma) - np.log(mass)
     return float(np.sum(terms))
 
 
 def _dlogp_dmu_dsigma(dist: TruncatedGaussian, action: np.ndarray):
     """Per-component partials of the summed log-density."""
-    alpha, beta = _standardized(dist)
-    mass = ndtr(beta) - ndtr(alpha)
-    t = (action - dist.mu) / dist.sigma
+    t = _standardized_action(dist, action)
+    alpha, beta, _, mass = _standardized(dist)
     phi_a, phi_b = _phi(alpha), _phi(beta)
     dmu = t / dist.sigma - (phi_a - phi_b) / (dist.sigma * mass)
     dsigma = (t * t - 1.0) / dist.sigma - (alpha * phi_a - beta * phi_b) / (
@@ -301,14 +297,10 @@ def _dlogp_dmu_dsigma(dist: TruncatedGaussian, action: np.ndarray):
     return dmu, dsigma
 
 
-def grad_log_prob(
-    model: PolicyModel, s, action: np.ndarray
-) -> PolicyGradientRecord:
+def grad_log_prob(model: PolicyModel, s, action: np.ndarray) -> np.ndarray:
     """Gradient of log pi(action | s) with respect to the flat parameters."""
-    action = np.asarray(action, dtype=float)
     mu, sigma, cache = _forward_cached(model, s)
     dist = TruncatedGaussian(mu=mu, sigma=sigma, lo=model.q_lo, hi=model.q_hi)
-    lp = log_prob(dist, action)
     dmu, dsigma = _dlogp_dmu_dsigma(dist, action)
 
     hs, pre_acts, sig_a, braw = cache
@@ -331,9 +323,7 @@ def grad_log_prob(
     )
     if not np.all(np.isfinite(flat)):
         raise NonFiniteGradient("non-finite entries in the policy gradient")
-    return PolicyGradientRecord(
-        action=action.copy(), log_prob=lp, grad_theta_log_prob=flat
-    )
+    return flat
 
 
 # -- persistence -----------------------------------------------------------

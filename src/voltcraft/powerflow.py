@@ -149,7 +149,7 @@ def evaluate_loss(
     """Ohmic loss plus penalty_coeff times the voltage-band violation.
 
     Actions outside the inverter capability box are clipped; with strict=True
-    they raise ActionOutOfBounds instead.
+    they raise ActionOutOfBounds instead. A NaN setpoint raises in both modes.
     """
     q_g = np.asarray(q_g, dtype=float)
     if q_g.shape != (model.n_inverters,):
@@ -158,7 +158,8 @@ def evaluate_loss(
         )
     if model.n_inverters:
         outside = np.maximum(q_g - model.q_hi, 0.0) + np.maximum(model.q_lo - q_g, 0.0)
-        if strict and np.any(outside > 1e-12):
+        # a NaN setpoint makes its `outside` NaN, which fails either bound
+        if not np.all(outside <= (1e-12 if strict else np.inf)):
             raise ActionOutOfBounds(
                 f"setpoint leaves the capability box by {np.max(outside):.3e}"
             )

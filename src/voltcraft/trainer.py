@@ -66,7 +66,8 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        # each rule is written so that NaN fails it
+        # each rule is written so that NaN fails it; a bool passes as a
+        # number in Python, so it is rejected by type
         rules = (
             ("learning_rate", "finite and >= 0",
              math.isfinite(self.learning_rate) and self.learning_rate >= 0),
@@ -79,8 +80,9 @@ class TrainConfig:
             ("adam_beta2", "in [0, 1)", 0 <= self.adam_beta2 < 1),
         )
         for name, rule, ok in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.baseline_mode not in ("none", "running_mean"):
@@ -104,15 +106,6 @@ class LossTrace:
     def __len__(self):
         return len(self.raw)
 
-    def rows(self):
-        for i in range(len(self.raw)):
-            yield {
-                "step": i,
-                "raw_loss": self.raw[i],
-                "running_avg": self.running_avg[i],
-                "feasible": self.feasible[i],
-            }
-
 
 @dataclass
 class OptState:
@@ -125,50 +118,31 @@ def init_opt_state(n_params: int) -> OptState:
     return OptState(m=np.zeros(n_params), v=np.zeros(n_params))
 
 
-def estimate_gradient(
-    records,
-    baseline_mode: str = "none",
-    prior_losses=(),
-    window: int = BASELINE_WINDOW,
-) -> np.ndarray:
-    """Score-function estimate averaged over a batch of (state, gradient
-    record, penalized loss) triples, in their order.
-
-    The baseline is computed from losses of earlier batches only; the
-    current batch never feeds its own control variate.
-    """
+def estimate_gradient(records, b: float) -> np.ndarray:
+    """Score-function estimate averaged over a batch of (score, penalized
+    loss) pairs, in their order, with control variate b."""
     if not records:
         raise ValueError("empty batch")
-    losses = np.array([loss for _, _, loss in records])
+    losses = np.array([loss for _, loss in records])
     if not np.all(np.isfinite(losses)):
         raise NonFiniteGradient("non-finite loss in batch")
-    if baseline_mode == "running_mean" and len(prior_losses) > 0:
-        b = float(np.mean(np.asarray(prior_losses)[-window:]))
-    else:
-        b = 0.0
-    g = np.zeros_like(records[0][1].grad_theta_log_prob)
-    for _, rec, loss in records:
-        g += (loss - b) * rec.grad_theta_log_prob
+    g = np.zeros_like(records[0][0])
+    for score, loss in records:
+        g += (loss - b) * score
     g /= len(records)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient("non-finite gradient estimate")
     return g
 
 
-def apply_update(
-    model: PolicyModel,
-    g: np.ndarray,
-    config: TrainConfig,
-    opt_state: OptState | None = None,
-):
+def apply_update(model: PolicyModel, g: np.ndarray, config: TrainConfig,
+                 opt_state: OptState):
     """One optimizer step in place; returns (model, opt_state)."""
     theta = get_flat_params(model)
     if g.shape != theta.shape:
         raise DimensionMismatch(
             f"gradient length {g.shape} vs parameters {theta.shape}"
         )
-    if opt_state is None:
-        opt_state = init_opt_state(theta.size)
     if opt_state.m.shape != theta.shape:
         raise DimensionMismatch("optimizer state does not match the model")
     opt_state.step += 1
@@ -238,15 +212,19 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
     trace = LossTrace(window=config.baseline_window)
     opt_state = init_opt_state(model.n_params)
     pending = []
-    applied_losses = []
     updates = 0
 
     def flush():
         nonlocal updates
+        # the trace's running average over the records already applied: the
+        # current batch never feeds its own control variate
+        applied = len(trace) - len(pending)
+        if config.baseline_mode == "running_mean" and applied > 0:
+            b = trace.running_avg[applied - 1]
+        else:
+            b = 0.0
         try:
-            g = estimate_gradient(
-                pending, config.baseline_mode, applied_losses, config.baseline_window
-            )
+            g = estimate_gradient(pending, b)
         except NonFiniteGradient as exc:
             raise NonFiniteGradient(
                 f"aborted at update {updates}, record {len(trace)}: {exc}"
@@ -255,7 +233,6 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
         if norm > config.grad_clip:
             g = g * (config.grad_clip / norm)
         apply_update(model, g, config, opt_state)
-        applied_losses.extend(loss for _, _, loss in pending)
         pending.clear()
         updates += 1
 
@@ -266,7 +243,7 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
             dist = policy_distribution(model, s)
             q = sample(dist, rng)
             assert np.all(q >= model.q_lo) and np.all(q <= model.q_hi)
-            rec = grad_log_prob(model, s, q)
+            score = grad_log_prob(model, s, q)
             try:
                 ev = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff)
             except (Diverged, NumericalError) as exc:
@@ -275,7 +252,7 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
                     f"{idx}, timestamp {s.timestamp}): {exc}"
                 ) from exc
             trace.append(ev.penalized, ev.feasible)
-            pending.append((s, rec, ev.penalized))
+            pending.append((score, ev.penalized))
             if len(pending) == config.batch_size:
                 flush()
     if pending:

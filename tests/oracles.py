@@ -7,7 +7,8 @@ branch-flow variables. The cone operations and the Nesterov-Todd scaling are
 the interior-point solver's original versions, one cone block at a time with
 dense blocks, kept as references for its vectorised ones. The masked logistic
 is the policy head's original one, kept as the reference for its branch-free
-one.
+one. The training loop is the trainer's original one, which keeps every
+applied loss in a list of its own and takes the control variate from it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from voltcraft.policy import (
+    get_flat_params,
+    grad_log_prob,
+    init_policy,
+    policy_distribution,
+    sample,
+    set_flat_params,
+)
+from voltcraft.powerflow import evaluate_loss
 
 
 def two_bus_closed_form(r, x, p_inj, q_inj, v0=1.0):
@@ -101,6 +112,65 @@ def sigmoid_masked(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# -- training loop ----------------------------------------------------------
+
+
+def training_reference(network, states, config, hidden):
+    """Train as `trainer.run_training` does, with the control variate taken as
+    the window mean of an explicit list of the losses of applied batches.
+    Returns the flat parameters and the running average of every record."""
+    pol = init_policy(network, hidden=hidden, seed=config.seed,
+                      sigma_floor=config.sigma_floor)
+    X = np.stack([np.concatenate([s.p, s.q_c]) for s in states])
+    std = X.std(axis=0)
+    pol.input_mean, pol.input_std = X.mean(axis=0), np.where(std < 1e-12, 1.0, std)
+    theta = get_flat_params(pol)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    raw, running_avg, applied_losses, batch = [], [], [], []
+    step = 0
+
+    def update():
+        nonlocal theta, m, v, step
+        if config.baseline_mode == "running_mean" and applied_losses:
+            b = float(np.mean(np.asarray(applied_losses)[-config.baseline_window:]))
+        else:
+            b = 0.0
+        g = np.zeros_like(theta)
+        for score, loss in batch:
+            g += (loss - b) * score
+        g /= len(batch)
+        norm = float(np.linalg.norm(g))
+        if norm > config.grad_clip:
+            g = g * (config.grad_clip / norm)
+        step += 1
+        if config.optimizer == "sgd":
+            theta = theta - config.learning_rate * g
+        else:
+            b1, b2 = config.adam_beta1, config.adam_beta2
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1**step), v / (1.0 - b2**step)
+            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        set_flat_params(pol, theta)
+        applied_losses.extend(loss for _, loss in batch)
+        batch.clear()
+
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(states)):
+            s = states[idx]
+            q = sample(policy_distribution(pol, s), rng)
+            loss = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff).penalized
+            raw.append(float(loss))
+            running_avg.append(float(np.mean(raw[-config.baseline_window:])))
+            batch.append((grad_log_prob(pol, s, q), loss))
+            if len(batch) == config.batch_size:
+                update()
+    if batch:
+        update()
+    return theta, running_avg
 
 
 # -- truncated-Gaussian references (quadrature, no scipy.special) ----------

@@ -129,8 +129,9 @@ def test_pf_missing_field_error_record(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "q_g, error",
-    [([0.0, 0.0, 0.0], "DimensionMismatch"), ([5.0, 5.0], "ActionOutOfBounds")],
-    ids=["wrong-length", "out-of-box"],
+    [([0.0, 0.0, 0.0], "DimensionMismatch"), ([5.0, 5.0], "ActionOutOfBounds"),
+     ([math.nan, 0.0], "ActionOutOfBounds")],
+    ids=["wrong-length", "out-of-box", "nan"],
 )
 def test_pf_bad_setpoints_error_record(tmp_path, capsys, q_g, error):
     state = tmp_path / "s.json"
@@ -232,10 +233,10 @@ def test_train_repeat_and_manifest_replay_bit_identical(tmp_path, day_csv, capsy
      {"epochs": 1, "batch_size": 2.5}, {"epochs": 1, "grad_clip": -1},
      {"epochs": 1, "penalty_coeff": -5}, {"epochs": 1, "adam_beta1": 2},
      {"epochs": 1, "adam_eps": 0}, {"epochs": 1, "baseline_window": True},
-     {"epochs": 1, "learning_rate": "fast"}],
+     {"epochs": 1, "learning_rate": "fast"}, {"epochs": 1, "learning_rate": True}],
     ids=["array", "hidden-string", "hidden-zero", "negative-seed", "epochs-float",
          "sigma-floor-zero", "batch-float", "grad-clip-negative", "penalty-negative",
-         "beta1-above-one", "eps-zero", "window-bool", "rate-string"],
+         "beta1-above-one", "eps-zero", "window-bool", "rate-string", "rate-bool"],
 )
 def test_train_malformed_config_error_record(tmp_path, day_csv, capsys, doc):
     cfg = tmp_path / "cfg.json"

@@ -453,7 +453,7 @@ def test_grad_log_prob_finite_differences():
             pol.biases[i] = pol.biases[i] + rng.normal(0.0, 0.1, pol.biases[i].size)
         s = random_state(rng, 3)
         action = sample(policy_distribution(pol, s), rng)
-        g = grad_log_prob(pol, s, action).grad_theta_log_prob
+        g = grad_log_prob(pol, s, action)
         fd = _fd_grad_theta(pol, s, action)
         assert np.all(np.abs(g - fd) <= 1e-7 + 1e-4 * np.abs(fd))
         assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(fd)
@@ -465,12 +465,9 @@ def test_grad_record_contents():
     pol = init_policy(net, seed=1)
     s = random_state(rng, 3)
     action = sample(policy_distribution(pol, s), rng)
-    rec = grad_log_prob(pol, s, action)
-    assert rec.grad_theta_log_prob.shape == (pol.n_params,)
-    assert np.all(np.isfinite(rec.grad_theta_log_prob))
-    assert abs(rec.log_prob - log_prob(policy_distribution(pol, s), action)) == 0.0
-    rec.action[0] = 99.0  # record owns a copy
-    assert action[0] != 99.0
+    g = grad_log_prob(pol, s, action)
+    assert g.shape == (pol.n_params,)
+    assert np.all(np.isfinite(g))
 
 
 def test_grad_log_prob_out_of_support():

@@ -255,6 +255,20 @@ def test_strict_action_bounds():
     assert clipped.penalized == at_edge.penalized
 
 
+def test_nan_setpoint_rejected_in_both_modes():
+    model = single_line_model(inverter_p=0.2)
+    state = zero_state(model)
+    for strict in (False, True):
+        with pytest.raises(ActionOutOfBounds):
+            evaluate_loss(model, state, np.array([np.nan]), strict=strict)
+    # an infinite setpoint is out of the box, not undefined: it clips
+    with pytest.raises(ActionOutOfBounds):
+        evaluate_loss(model, state, np.array([np.inf]), strict=True)
+    clipped = evaluate_loss(model, state, np.array([np.inf]))
+    at_edge = evaluate_loss(model, state, np.array([model.q_hi[0]]))
+    assert clipped.penalized == at_edge.penalized
+
+
 # -- randomized invariants -------------------------------------------------
 
 

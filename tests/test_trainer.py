@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import mu_sigma, single_line_model
-from oracles import dmu_expectation_quad
+from oracles import dmu_expectation_quad, training_reference
 from voltcraft.baseline import grid_search_oracle, solve_baseline
 from voltcraft.data import SynthesisProfile, synthesize_timeseries
 from voltcraft.errors import DimensionMismatch, NonFiniteGradient, NumericalError
@@ -63,19 +63,19 @@ def bias_only_policy(a_bias, b_bias, lo, hi, sigma_floor=0.01):
 
 def test_config_rejects_bad_values():
     bad = {
-        "learning_rate": (-0.1, math.inf, math.nan),
+        "learning_rate": (-0.1, math.inf, math.nan, True),
         "batch_size": (0, 2.5, True),
         "epochs": (0, 1.5, True),
         "baseline_window": (0, 3.0, False),
         "optimizer": ("rmsprop",),
         "baseline_mode": ("constant",),
         "seed": (-1, 1.5, True),
-        "grad_clip": (0.0, -1.0, math.nan),
-        "sigma_floor": (0.0, -0.01, math.nan),
-        "penalty_coeff": (-5.0, math.inf, math.nan),
-        "adam_eps": (0.0, -1e-8),
-        "adam_beta1": (-0.1, 1.0, 2.0, math.nan),
-        "adam_beta2": (-0.1, 1.0, math.nan),
+        "grad_clip": (0.0, -1.0, math.nan, True),
+        "sigma_floor": (0.0, -0.01, math.nan, True),
+        "penalty_coeff": (-5.0, math.inf, math.nan, True, False),
+        "adam_eps": (0.0, -1e-8, True),
+        "adam_beta1": (-0.1, 1.0, 2.0, math.nan, False),
+        "adam_beta2": (-0.1, 1.0, math.nan, False),
     }
     for name, values in bad.items():
         for value in values:
@@ -96,33 +96,35 @@ def make_records(n, loss, seed=0):
     out = []
     for _ in range(n):
         q = sample(policy_distribution(pol, s), rng)
-        out.append((s, grad_log_prob(pol, s, q), loss))
+        out.append((grad_log_prob(pol, s, q), loss))
     return out
 
 
 def test_constant_loss_with_matching_baseline_gives_zero():
     records = make_records(8, loss=3.25)
-    g = estimate_gradient(records, "running_mean", prior_losses=[3.25, 3.25])
+    g = estimate_gradient(records, 3.25)
     assert np.all(g == 0.0)
 
 
 def test_single_record_no_baseline_is_loss_times_score():
     records = make_records(1, loss=0.7)
-    g = estimate_gradient(records, "none")
-    assert np.array_equal(g, 0.7 * records[0][1].grad_theta_log_prob)
+    g = estimate_gradient(records, 0.0)
+    assert np.array_equal(g, 0.7 * records[0][0])
 
 
 def test_estimate_gradient_deterministic():
     records = make_records(12, loss=0.4, seed=5)
     assert np.array_equal(
-        estimate_gradient(records, "none"), estimate_gradient(records, "none")
+        estimate_gradient(records, 0.0), estimate_gradient(records, 0.0)
     )
 
 
 def test_running_mean_uses_window_tail():
     records = make_records(6, loss=2.0)
-    prior = [10.0] * 300 + [2.0] * 200
-    g = estimate_gradient(records, "running_mean", prior_losses=prior, window=200)
+    prior = LossTrace(window=200)
+    for loss in [10.0] * 300 + [2.0] * 200:
+        prior.append(loss, True)
+    g = estimate_gradient(records, prior.running_avg[-1])
     # the tail of the window is all 2.0, matching the batch loss exactly
     assert np.all(g == 0.0)
 
@@ -130,12 +132,12 @@ def test_running_mean_uses_window_tail():
 def test_nonfinite_loss_rejected():
     records = make_records(2, loss=float("inf"))
     with pytest.raises(NonFiniteGradient):
-        estimate_gradient(records, "none")
+        estimate_gradient(records, 0.0)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        estimate_gradient([], "none")
+        estimate_gradient([], 0.0)
 
 
 # -- apply_update ----------------------------------------------------------
@@ -145,7 +147,7 @@ def test_sgd_zero_gradient_is_identity():
     pol = init_policy(single_line_model(inverter_p=0.3), hidden=(4,), seed=0)
     before = get_flat_params(pol)
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.5)
-    apply_update(pol, np.zeros_like(before), cfg)
+    apply_update(pol, np.zeros_like(before), cfg, init_opt_state(pol.n_params))
     assert np.array_equal(get_flat_params(pol), before)
 
 
@@ -153,7 +155,7 @@ def test_sgd_unit_rate_on_own_parameters_zeroes_them():
     pol = init_policy(single_line_model(inverter_p=0.3), hidden=(4,), seed=0)
     theta = get_flat_params(pol)
     cfg = TrainConfig(optimizer="sgd", learning_rate=1.0)
-    apply_update(pol, theta, cfg)
+    apply_update(pol, theta, cfg, init_opt_state(pol.n_params))
     assert np.all(get_flat_params(pol) == 0.0)
 
 
@@ -162,7 +164,7 @@ def test_sgd_step_is_exact():
     theta = get_flat_params(pol)
     g = np.linspace(-1.0, 1.0, theta.size)
     cfg = TrainConfig(optimizer="sgd", learning_rate=0.05)
-    apply_update(pol, g, cfg)
+    apply_update(pol, g, cfg, init_opt_state(pol.n_params))
     assert np.array_equal(get_flat_params(pol), theta - 0.05 * g)
 
 
@@ -172,7 +174,7 @@ def test_adam_first_step_literal():
     theta = get_flat_params(pol)
     c, lr = 0.3, 0.01
     cfg = TrainConfig(optimizer="adam", learning_rate=lr)
-    _, st = apply_update(pol, np.full(theta.size, c), cfg)
+    _, st = apply_update(pol, np.full(theta.size, c), cfg, init_opt_state(theta.size))
     expected = -lr * c / (abs(c) + cfg.adam_eps)
     assert np.allclose(get_flat_params(pol) - theta, expected, rtol=1e-12, atol=0)
     assert st.step == 1
@@ -185,7 +187,7 @@ def test_adam_matches_reference_recurrence():
     rng = np.random.default_rng(9)
     gs = [rng.normal(0, 1, theta.size) for _ in range(5)]
 
-    st = None
+    st = init_opt_state(theta.size)
     for g in gs:
         _, st = apply_update(pol, g, cfg, st)
 
@@ -205,7 +207,7 @@ def test_apply_update_dimension_errors():
     pol = init_policy(single_line_model(inverter_p=0.3), hidden=(4,), seed=0)
     cfg = TrainConfig(optimizer="sgd")
     with pytest.raises(DimensionMismatch):
-        apply_update(pol, np.zeros(3), cfg)
+        apply_update(pol, np.zeros(3), cfg, init_opt_state(pol.n_params))
     with pytest.raises(DimensionMismatch):
         apply_update(
             pol, np.zeros(pol.n_params), cfg, OptState(m=np.zeros(2), v=np.zeros(2))
@@ -227,7 +229,7 @@ PILOT = {
 
 @pytest.fixture(scope="module")
 def pilot_records():
-    """1e5 (record, loss) pairs with the synthetic quadratic loss."""
+    """1e5 (score, loss) pairs with the synthetic quadratic loss."""
     pol = bias_only_policy(
         PILOT["a_bias"], PILOT["b_bias"], PILOT["lo"], PILOT["hi"]
     )
@@ -237,8 +239,7 @@ def pilot_records():
     records = []
     for _ in range(n):
         q = sample(policy_distribution(pol, s), rng)
-        rec = grad_log_prob(pol, s, q)
-        records.append((s, rec, float((q[0] - PILOT["c"]) ** 2)))
+        records.append((grad_log_prob(pol, s, q), float((q[0] - PILOT["c"]) ** 2)))
     return pol, s, records
 
 
@@ -261,7 +262,7 @@ def test_score_estimator_matches_quadrature_derivative(pilot_records):
     chunk_means = []
     for k in range(PILOT["chunks"]):
         chunk = records[k * PILOT["chunk_size"] : (k + 1) * PILOT["chunk_size"]]
-        g = estimate_gradient(chunk, "none")
+        g = estimate_gradient(chunk, 0.0)
         chunk_means.append(g[a_idx])
     est = float(np.mean(chunk_means))
     se = float(np.std(chunk_means)) / math.sqrt(len(chunk_means))
@@ -276,11 +277,12 @@ def test_running_mean_baseline_preserves_expectation(pilot_records):
     diffs = []
     for k in range(PILOT["chunks"]):
         chunk = records[k * PILOT["chunk_size"] : (k + 1) * PILOT["chunk_size"]]
-        g0 = estimate_gradient(chunk, "none")
-        gb = estimate_gradient(chunk, "running_mean", prior_losses=history)
+        g0 = estimate_gradient(chunk, 0.0)
+        b = float(np.mean(history[-200:])) if history else 0.0  # earlier chunks only
+        gb = estimate_gradient(chunk, b)
         if history:
             diffs.append(g0[a_idx] - gb[a_idx])
-        history.extend(loss for _, _, loss in chunk)
+        history.extend(loss for _, loss in chunk)
     mean_diff = float(np.mean(diffs))
     se = float(np.std(diffs)) / math.sqrt(len(diffs))
     assert abs(mean_diff) <= 3.0 * se
@@ -329,6 +331,26 @@ def test_train_bitwise_reproducible():
     assert np.array_equal(get_flat_params(run1[0]), get_flat_params(run2[0]))
     assert run1[1].raw == run2[1].raw
     assert run1[2] == run2[2]
+
+
+@pytest.mark.parametrize(
+    "feeder, overrides",
+    [("surrogate47", {}),
+     ("surrogate47", {"baseline_window": 7, "batch_size": 5, "epochs": 4}),
+     ("surrogate47", {"baseline_mode": "none", "epochs": 4}),
+     ("feeder6", {"optimizer": "sgd", "epochs": 4})],
+    ids=["stock", "window-7-batch-5", "no-baseline", "sgd-feeder6"],
+)
+def test_run_training_matches_reference_loop(request, feeder, overrides):
+    net = request.getfixturevalue(feeder)
+    states = synthesize_timeseries(
+        net, SynthesisProfile(n_intervals=60), seed=2).train_states
+    cfg = TrainConfig(seed=3, **overrides)
+    hidden = (48, 32, 16)
+    model, trace, _ = run_training(net, states, cfg, hidden=hidden)
+    theta, running_avg = training_reference(net, states, cfg, hidden)
+    assert np.array_equal(get_flat_params(model), theta)
+    assert np.array_equal(trace.running_avg, running_avg)
 
 
 def test_partial_final_batch_applied():
@@ -510,19 +532,9 @@ def test_trace_rows_structure():
     trace = LossTrace(window=3)
     trace.append(1.0, True)
     trace.append(2.0, False)
-    rows = list(trace.rows())
-    assert rows[0] == {
-        "step": 0,
-        "raw_loss": 1.0,
-        "running_avg": 1.0,
-        "feasible": True,
-    }
-    assert rows[1] == {
-        "step": 1,
-        "raw_loss": 2.0,
-        "running_avg": 1.5,
-        "feasible": False,
-    }
+    rows = list(zip(trace.raw, trace.running_avg, trace.feasible))
+    assert rows[0] == (1.0, 1.0, True)
+    assert rows[1] == (2.0, 1.5, False)
     assert len(rows) == len(trace)
 
 
