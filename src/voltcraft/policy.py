@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -98,18 +99,37 @@ class PolicyModel:
 
 @dataclass
 class TruncatedGaussian:
-    """Per-inverter independent Gaussians restricted to the action box."""
+    """Per-inverter independent Gaussians restricted to the action box.
+
+    `forward` is the forward pass that produced mu and sigma (layer inputs,
+    hidden pre-activations, the mean's logistic and the deviation's raw
+    outputs) when `policy_distribution` built the distribution, else None.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    forward: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if np.any(self.lo >= self.hi):
+        if (self.lo >= self.hi).any():
             raise DimensionMismatch("support must have lo < hi")
-        if np.any(self.sigma <= 0) or not np.all(np.isfinite(self.sigma)):
+        if (self.sigma <= 0).any() or not np.isfinite(self.sigma).all():
             raise DimensionMismatch("sigma must be positive and finite")
+
+    @cached_property
+    def standardized(self):
+        """The box edges in units of sigma from the mean, the lower edge's
+        cumulative probability, and the mass the box holds; computed once and
+        shared by `sample`, `log_prob` and `grad_log_prob`."""
+        alpha = (self.lo - self.mu) / self.sigma
+        beta = (self.hi - self.mu) / self.sigma
+        cdf_lo = ndtr(alpha)
+        mass = ndtr(beta) - cdf_lo
+        if (mass < 1e-300).any():
+            raise DegenerateSupport("truncated mass underflows; support unusable")
+        return alpha, beta, cdf_lo, mass
 
 
 # -- parameter flattening --------------------------------------------------
@@ -211,16 +231,6 @@ def _mean(model: PolicyModel, a):
     return model.q_lo + (model.q_hi - model.q_lo) * sig_a, sig_a
 
 
-def _forward_cached(model: PolicyModel, s):
-    raw, hs, pre_acts = _layers(model, s)
-    m = model.n_actions
-    a, braw = raw[:m], raw[m:]
-    mu, sig_a = _mean(model, a)
-    sigma = _softplus(braw) + model.sigma_floor
-    cache = (hs, pre_acts, sig_a, braw)
-    return mu, sigma, cache
-
-
 def mean_action(model: PolicyModel, s) -> np.ndarray:
     """The deterministic action for state s: the mean clipped to the box.
 
@@ -233,24 +243,18 @@ def mean_action(model: PolicyModel, s) -> np.ndarray:
 
 
 def policy_distribution(model: PolicyModel, s) -> TruncatedGaussian:
-    """The action distribution for state s: mean and deviation, truncated to the box."""
-    mu, sigma, _ = _forward_cached(model, s)
-    return TruncatedGaussian(mu=mu, sigma=sigma, lo=model.q_lo, hi=model.q_hi)
+    """The action distribution for state s: mean and deviation, truncated to
+    the box, carrying its forward pass for `grad_log_prob`."""
+    raw, hs, pre_acts = _layers(model, s)
+    m = model.n_actions
+    a, braw = raw[:m], raw[m:]
+    mu, sig_a = _mean(model, a)
+    sigma = _softplus(braw) + model.sigma_floor
+    return TruncatedGaussian(mu=mu, sigma=sigma, lo=model.q_lo, hi=model.q_hi,
+                             forward=(hs, pre_acts, sig_a, braw))
 
 
 # -- truncated-Gaussian head -----------------------------------------------
-
-
-def _standardized(dist: TruncatedGaussian):
-    """The box edges in units of sigma from the mean, the lower edge's
-    cumulative probability, and the mass the box holds."""
-    alpha = (dist.lo - dist.mu) / dist.sigma
-    beta = (dist.hi - dist.mu) / dist.sigma
-    cdf_lo = ndtr(alpha)
-    mass = ndtr(beta) - cdf_lo
-    if np.any(mass < 1e-300):
-        raise DegenerateSupport("truncated mass underflows; support unusable")
-    return alpha, beta, cdf_lo, mass
 
 
 def _standardized_action(dist: TruncatedGaussian, action) -> np.ndarray:
@@ -261,7 +265,7 @@ def _standardized_action(dist: TruncatedGaussian, action) -> np.ndarray:
         raise DimensionMismatch(
             f"action shape {action.shape} vs distribution {dist.mu.shape}"
         )
-    if np.any(action < dist.lo - 1e-12) or np.any(action > dist.hi + 1e-12):
+    if (action < dist.lo - 1e-12).any() or (action > dist.hi + 1e-12).any():
         raise OutOfSupport("action outside the truncation box")
     return (action - dist.mu) / dist.sigma
 
@@ -272,7 +276,7 @@ def _phi(t):
 
 def sample(dist: TruncatedGaussian, rng: np.random.Generator) -> np.ndarray:
     """Exact inverse-CDF draw; never leaves [lo, hi]."""
-    _, _, cdf_lo, mass = _standardized(dist)
+    _, _, cdf_lo, mass = dist.standardized
     u = rng.random(dist.mu.size)
     q = dist.mu + dist.sigma * ndtri(cdf_lo + u * mass)
     return np.clip(q, dist.lo, dist.hi)
@@ -280,7 +284,7 @@ def sample(dist: TruncatedGaussian, rng: np.random.Generator) -> np.ndarray:
 
 def log_prob(dist: TruncatedGaussian, action: np.ndarray) -> float:
     t = _standardized_action(dist, action)
-    _, _, _, mass = _standardized(dist)
+    _, _, _, mass = dist.standardized
     terms = -0.5 * t * t - LOG_SQRT_2PI - np.log(dist.sigma) - np.log(mass)
     return float(np.sum(terms))
 
@@ -288,7 +292,7 @@ def log_prob(dist: TruncatedGaussian, action: np.ndarray) -> float:
 def _dlogp_dmu_dsigma(dist: TruncatedGaussian, action: np.ndarray):
     """Per-component partials of the summed log-density."""
     t = _standardized_action(dist, action)
-    alpha, beta, _, mass = _standardized(dist)
+    alpha, beta, _, mass = dist.standardized
     phi_a, phi_b = _phi(alpha), _phi(beta)
     dmu = t / dist.sigma - (phi_a - phi_b) / (dist.sigma * mass)
     dsigma = (t * t - 1.0) / dist.sigma - (alpha * phi_a - beta * phi_b) / (
@@ -297,31 +301,37 @@ def _dlogp_dmu_dsigma(dist: TruncatedGaussian, action: np.ndarray):
     return dmu, dsigma
 
 
-def grad_log_prob(model: PolicyModel, s, action: np.ndarray) -> np.ndarray:
-    """Gradient of log pi(action | s) with respect to the flat parameters."""
-    mu, sigma, cache = _forward_cached(model, s)
-    dist = TruncatedGaussian(mu=mu, sigma=sigma, lo=model.q_lo, hi=model.q_hi)
+def grad_log_prob(model: PolicyModel, dist: TruncatedGaussian,
+                  action: np.ndarray) -> np.ndarray:
+    """Gradient of log pi(action | s) with respect to the flat parameters.
+
+    `dist` is `policy_distribution(model, s)` under the current parameters;
+    the gradient is back-propagated from the forward pass it carries.
+    """
+    if dist.forward is None:
+        raise ValueError(
+            "dist carries no forward pass; build it with policy_distribution")
     dmu, dsigma = _dlogp_dmu_dsigma(dist, action)
 
-    hs, pre_acts, sig_a, braw = cache
+    hs, pre_acts, sig_a, braw = dist.forward
     width = model.q_hi - model.q_lo
     # chain through the two head maps
     da = dmu * width * sig_a * (1.0 - sig_a)
     db = dsigma * _sigmoid(braw)
     delta = np.concatenate([da, db])
 
-    n_layers = len(model.weights)
-    grads_W = [None] * n_layers
-    grads_b = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        grads_W[i] = np.outer(delta, hs[i])
-        grads_b[i] = delta
+    # each layer's W then b, in the order of get_flat_params, filled from the back
+    flat = np.empty(model.n_params)
+    stop = flat.size
+    for i in range(len(model.weights) - 1, -1, -1):
+        W = model.weights[i]
+        start = stop - W.size - delta.size
+        np.outer(delta, hs[i], out=flat[start : start + W.size].reshape(W.shape))
+        flat[start + W.size : stop] = delta
+        stop = start
         if i > 0:
-            delta = (model.weights[i].T @ delta) * (pre_acts[i - 1] > 0)
-    flat = np.concatenate(
-        [np.concatenate([gW.ravel(), gb]) for gW, gb in zip(grads_W, grads_b)]
-    )
-    if not np.all(np.isfinite(flat)):
+            delta = (W.T @ delta) * (pre_acts[i - 1] > 0)
+    if not np.isfinite(flat).all():
         raise NonFiniteGradient("non-finite entries in the policy gradient")
     return flat
 

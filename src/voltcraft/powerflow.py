@@ -98,37 +98,39 @@ def solve_power_flow(model: NetworkModel, p: np.ndarray, q: np.ndarray) -> Power
     Q = T @ (x * ell - q)
     v = np.full(model.n + 1, v0)
     step = np.inf
-    for it in range(1, MAX_ITER + 1):
-        vpar = v[model.parent]
-        if np.any(vpar <= 0.0):
-            raise NumericalError("voltage collapsed to zero during the sweep")
-        # overflow here means divergence, caught by the finiteness check below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # overflow here means divergence, caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_ITER + 1):
+            vpar = v[model.parent]
+            if (vpar <= 0.0).any():
+                raise NumericalError("voltage collapsed to zero during the sweep")
             ell_new = (P**2 + Q**2) / vpar
             P = T @ (r * ell_new - p)
             Q = T @ (x * ell_new - q)
             drop = T.T @ (2.0 * (r * P + x * Q) - z2 * ell_new)
-        v = np.concatenate(([v0], v0 - drop))
-        if not np.all(np.isfinite(ell_new)):
-            raise Diverged(f"iterate left the finite range at sweep {it}")
-        step = np.max(np.abs(ell_new - ell))
-        ell = ell_new
-        if step <= PF_TOL:
-            vpar = v[model.parent]
-            if np.any(vpar <= 0.0):
-                raise NumericalError("voltage collapsed to zero during the sweep")
-            residual = float(np.max(np.abs(ell * vpar - (P**2 + Q**2))))
-            if residual <= PF_TOL:
-                return PowerFlowSolution(
-                    P=P,
-                    Q=Q,
-                    ell=ell,
-                    v=v,
-                    loss=float(r @ ell),
-                    iterations=it,
-                    converged=True,
-                    max_residual=residual,
-                )
+            v = np.empty(model.n + 1)
+            v[0] = v0
+            np.subtract(v0, drop, out=v[1:])
+            if not np.isfinite(ell_new).all():
+                raise Diverged(f"iterate left the finite range at sweep {it}")
+            step = np.abs(ell_new - ell).max()
+            ell = ell_new
+            if step <= PF_TOL:
+                vpar = v[model.parent]
+                if (vpar <= 0.0).any():
+                    raise NumericalError("voltage collapsed to zero during the sweep")
+                residual = float(np.abs(ell * vpar - (P**2 + Q**2)).max())
+                if residual <= PF_TOL:
+                    return PowerFlowSolution(
+                        P=P,
+                        Q=Q,
+                        ell=ell,
+                        v=v,
+                        loss=float(r @ ell),
+                        iterations=it,
+                        converged=True,
+                        max_residual=residual,
+                    )
     raise Diverged(f"no fixed point after {MAX_ITER} sweeps (last step {step:.3e})")
 
 

@@ -19,13 +19,19 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .baseline import solve_baseline
-from .errors import DimensionMismatch, Diverged, NonFiniteGradient, NumericalError
+from .errors import (
+    DimensionMismatch,
+    Diverged,
+    NonFiniteGradient,
+    NumericalError,
+    OutOfSupport,
+)
 from .network import NetworkModel
 from .policy import (
     SIGMA_FLOOR,
@@ -42,6 +48,7 @@ from .powerflow import PENALTY_COEFF, evaluate_loss
 
 GRAD_CLIP_NORM = 10.0
 BASELINE_WINDOW = 200
+TRACE_CAPACITY = 256  # raw losses a fresh LossTrace holds before it grows
 
 
 @dataclass
@@ -89,22 +96,38 @@ class TrainConfig:
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
 
 
-@dataclass
 class LossTrace:
-    """Per-record loss history with a windowed running average."""
+    """Per-record loss history with a windowed running average.
 
-    window: int = BASELINE_WINDOW
-    raw: list = field(default_factory=list)
-    running_avg: list = field(default_factory=list)
-    feasible: list = field(default_factory=list)
+    The raw losses live in a float64 buffer that doubles when full, so each
+    running average is the mean of one contiguous slice of it, the same
+    summation as the mean of a list of the last `window` losses.
+    """
+
+    def __init__(self, window: int = BASELINE_WINDOW):
+        self.window = window
+        self.running_avg: list[float] = []
+        self.feasible: list[bool] = []
+        self._raw = np.empty(TRACE_CAPACITY)
+        self._n = 0
+
+    @property
+    def raw(self) -> list[float]:
+        """The raw losses so far, copied out of the buffer."""
+        return self._raw[: self._n].tolist()
 
     def append(self, raw_loss, is_feasible):
-        self.raw.append(float(raw_loss))
-        self.running_avg.append(float(np.mean(self.raw[-self.window :])))
+        n = self._n
+        if n == self._raw.size:
+            self._raw = np.concatenate([self._raw, np.empty(n)])
+        self._raw[n] = raw_loss
+        n += 1
+        self._n = n
+        self.running_avg.append(float(self._raw[max(0, n - self.window) : n].mean()))
         self.feasible.append(bool(is_feasible))
 
     def __len__(self):
-        return len(self.raw)
+        return self._n
 
 
 @dataclass
@@ -214,6 +237,10 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
     pending = []
     updates = 0
 
+    def where(idx, s):
+        return (f"aborted at update {updates}, record {len(trace)} (state {idx}, "
+                f"timestamp {s.timestamp})")
+
     def flush():
         nonlocal updates
         # the trace's running average over the records already applied: the
@@ -242,15 +269,14 @@ def train(model: PolicyModel, network: NetworkModel, dataset, config: TrainConfi
             s = states[idx]
             dist = policy_distribution(model, s)
             q = sample(dist, rng)
-            assert np.all(q >= model.q_lo) and np.all(q <= model.q_hi)
-            score = grad_log_prob(model, s, q)
+            # written so that a NaN setpoint fails it too
+            if not ((q >= model.q_lo).all() and (q <= model.q_hi).all()):
+                raise OutOfSupport(f"{where(idx, s)}: sampled setpoint leaves the box")
+            score = grad_log_prob(model, dist, q)
             try:
                 ev = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff)
             except (Diverged, NumericalError) as exc:
-                raise type(exc)(
-                    f"aborted at update {updates}, record {len(trace)} (state "
-                    f"{idx}, timestamp {s.timestamp}): {exc}"
-                ) from exc
+                raise type(exc)(f"{where(idx, s)}: {exc}") from exc
             trace.append(ev.penalized, ev.feasible)
             pending.append((score, ev.penalized))
             if len(pending) == config.batch_size:

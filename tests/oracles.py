@@ -3,9 +3,11 @@
 These deliberately avoid the package's solver internals: the two-bus case is
 a closed-form quadratic, and the general case runs a successive-substitution
 sweep on complex phasors (voltages and currents) rather than on the squared
-branch-flow variables. The cone operations and the Nesterov-Todd scaling are
-the interior-point solver's original versions, one cone block at a time with
-dense blocks, kept as references for its vectorised ones. The masked logistic
+branch-flow variables. The squared-variable sweep itself is kept as first
+written, the reference the solver's leaner loop must match byte for byte.
+The cone operations and the Nesterov-Todd scaling are the interior-point
+solver's original versions, one cone block at a time with dense blocks, kept
+as references for its vectorised ones. The masked logistic
 is the policy head's original one, kept as the reference for its branch-free
 one. The training loop is the trainer's original one, which keeps every
 applied loss in a list of its own and takes the control variate from it.
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 
+from voltcraft.errors import DimensionMismatch, Diverged, NumericalError
 from voltcraft.policy import (
     get_flat_params,
     grad_log_prob,
@@ -25,7 +28,12 @@ from voltcraft.policy import (
     sample,
     set_flat_params,
 )
-from voltcraft.powerflow import evaluate_loss
+from voltcraft.powerflow import (
+    MAX_ITER,
+    PF_TOL,
+    PowerFlowSolution,
+    evaluate_loss,
+)
 
 
 def two_bus_closed_form(r, x, p_inj, q_inj, v0=1.0):
@@ -101,6 +109,59 @@ def phasor_sweep(parent, r, x, p_inj, q_inj, v0=1.0, tol=1e-14, max_iter=500):
     return S_front.real, S_front.imag, l, v
 
 
+def solve_power_flow_reference(model, p, q):
+    """`powerflow.solve_power_flow` as it was first written: errstate entered
+    once a sweep, numpy reduction wrappers, and `v` built by concatenation."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != (model.n,) or q.shape != (model.n,):
+        raise DimensionMismatch(
+            f"injection vectors must have length {model.n}, got {p.shape}, {q.shape}"
+        )
+    T = model.subtree
+    r, x = model.r, model.x
+    z2 = r**2 + x**2
+    v0 = model.v0
+
+    ell = np.zeros(model.n)
+    P = T @ (r * ell - p)
+    Q = T @ (x * ell - q)
+    v = np.full(model.n + 1, v0)
+    step = np.inf
+    for it in range(1, MAX_ITER + 1):
+        vpar = v[model.parent]
+        if np.any(vpar <= 0.0):
+            raise NumericalError("voltage collapsed to zero during the sweep")
+        # overflow here means divergence, caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ell_new = (P**2 + Q**2) / vpar
+            P = T @ (r * ell_new - p)
+            Q = T @ (x * ell_new - q)
+            drop = T.T @ (2.0 * (r * P + x * Q) - z2 * ell_new)
+        v = np.concatenate(([v0], v0 - drop))
+        if not np.all(np.isfinite(ell_new)):
+            raise Diverged(f"iterate left the finite range at sweep {it}")
+        step = np.max(np.abs(ell_new - ell))
+        ell = ell_new
+        if step <= PF_TOL:
+            vpar = v[model.parent]
+            if np.any(vpar <= 0.0):
+                raise NumericalError("voltage collapsed to zero during the sweep")
+            residual = float(np.max(np.abs(ell * vpar - (P**2 + Q**2))))
+            if residual <= PF_TOL:
+                return PowerFlowSolution(
+                    P=P,
+                    Q=Q,
+                    ell=ell,
+                    v=v,
+                    loss=float(r @ ell),
+                    iterations=it,
+                    converged=True,
+                    max_residual=residual,
+                )
+    raise Diverged(f"no fixed point after {MAX_ITER} sweeps (last step {step:.3e})")
+
+
 # -- policy head ------------------------------------------------------------
 
 
@@ -165,7 +226,7 @@ def training_reference(network, states, config, hidden):
             loss = evaluate_loss(network, s, q, penalty_coeff=config.penalty_coeff).penalized
             raw.append(float(loss))
             running_avg.append(float(np.mean(raw[-config.baseline_window:])))
-            batch.append((grad_log_prob(pol, s, q), loss))
+            batch.append((grad_log_prob(pol, policy_distribution(pol, s), q), loss))
             if len(batch) == config.batch_size:
                 update()
     if batch:

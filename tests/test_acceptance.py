@@ -176,7 +176,7 @@ def test_criterion_4_gradient_suite():
         x = rng.normal(0.0, 1.0, 3)
         dist = policy_distribution(model, x)
         q = sample(dist, rng)
-        g = grad_log_prob(model, x, q)
+        g = grad_log_prob(model, dist, q)
         fd = _fd_grad_theta(model, x, q)
         assert np.all(np.abs(g - fd) <= 1e-7 + 1e-4 * np.abs(fd))
         worst_ratio = max(

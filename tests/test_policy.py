@@ -452,8 +452,9 @@ def test_grad_log_prob_finite_differences():
             # one-sided difference quotient and the subgradient disagree
             pol.biases[i] = pol.biases[i] + rng.normal(0.0, 0.1, pol.biases[i].size)
         s = random_state(rng, 3)
-        action = sample(policy_distribution(pol, s), rng)
-        g = grad_log_prob(pol, s, action)
+        dist = policy_distribution(pol, s)
+        action = sample(dist, rng)
+        g = grad_log_prob(pol, dist, action)
         fd = _fd_grad_theta(pol, s, action)
         assert np.all(np.abs(g - fd) <= 1e-7 + 1e-4 * np.abs(fd))
         assert np.linalg.norm(g - fd) <= 1e-4 * np.linalg.norm(fd)
@@ -464,10 +465,34 @@ def test_grad_record_contents():
     net = three_bus_net()
     pol = init_policy(net, seed=1)
     s = random_state(rng, 3)
-    action = sample(policy_distribution(pol, s), rng)
-    g = grad_log_prob(pol, s, action)
+    dist = policy_distribution(pol, s)
+    action = sample(dist, rng)
+    g = grad_log_prob(pol, dist, action)
     assert g.shape == (pol.n_params,)
     assert np.all(np.isfinite(g))
+
+
+def test_grad_log_prob_reuses_the_forward_pass_bit_for_bit():
+    # the distribution `sample` drew from, with its box standardisation
+    # already computed, gives the gradient of a fresh forward pass
+    rng = np.random.default_rng(4)
+    net = three_bus_net()
+    pol = init_policy(net, hidden=(8, 5), seed=2)
+    for _ in range(10):
+        s = random_state(rng, 3)
+        dist = policy_distribution(pol, s)
+        action = sample(dist, rng)
+        shared = grad_log_prob(pol, dist, action)
+        fresh = grad_log_prob(pol, policy_distribution(pol, s), action)
+        assert shared.tobytes() == fresh.tobytes()
+
+
+def test_grad_log_prob_needs_the_forward_pass():
+    pol = init_policy(three_bus_net(), hidden=(4,), seed=0)
+    dist = TruncatedGaussian(mu=arr(0.0, 0.0), sigma=arr(0.05, 0.05),
+                             lo=pol.q_lo, hi=pol.q_hi)
+    with pytest.raises(ValueError, match="forward pass"):
+        grad_log_prob(pol, dist, arr(0.0, 0.0))
 
 
 def test_grad_log_prob_out_of_support():
@@ -475,7 +500,7 @@ def test_grad_log_prob_out_of_support():
     pol = init_policy(net, seed=1)
     s = GridState(p=arr(0.0, 0.0, 0.0), q_c=arr(0.0, 0.0, 0.0))
     with pytest.raises(OutOfSupport):
-        grad_log_prob(pol, s, pol.q_hi + 0.01)
+        grad_log_prob(pol, policy_distribution(pol, s), pol.q_hi + 0.01)
 
 
 # -- estimator unbiasedness (1-D pilot) ------------------------------------

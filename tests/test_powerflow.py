@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from conftest import model_from_parents, single_line_model, zero_state
-from oracles import phasor_sweep, two_bus_closed_form
+from conftest import chain_model, model_from_parents, single_line_model, zero_state
+from oracles import phasor_sweep, solve_power_flow_reference, two_bus_closed_form
+from voltcraft.data import SynthesisProfile, synthesize_timeseries
 from voltcraft.errors import (
     ActionOutOfBounds,
     DimensionMismatch,
@@ -296,3 +297,52 @@ def test_random_feeder_solution_invariants(case):
     again = solve_power_flow(model, p, q)
     assert sol.ell.tobytes() == again.ell.tobytes()
     assert sol.v.tobytes() == again.v.tobytes()
+    assert_matches_reference(model, p, q)
+
+
+# -- the sweep as first written ---------------------------------------------
+
+
+SOLUTION_FIELDS = ("P", "Q", "ell", "v", "loss", "max_residual", "iterations")
+
+
+def assert_matches_reference(model, p, q):
+    sol = solve_power_flow(model, p, q)
+    ref = solve_power_flow_reference(model, p, q)
+    for name in SOLUTION_FIELDS:
+        got, want = getattr(sol, name), getattr(ref, name)
+        assert type(got) is type(want), name
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+    assert sol.converged and ref.converged
+
+
+@pytest.mark.parametrize("peak_kw", [40.0, 10.0])  # the stock and the high-PV day
+def test_surrogate47_days_match_reference_sweep(surrogate47, peak_kw):
+    day = synthesize_timeseries(surrogate47, SynthesisProfile(load_peak_kw=peak_kw),
+                                seed=0)
+    rng = np.random.default_rng(3)
+    states = day.intervals[:: len(day.intervals) // 200][:200]
+    assert len(states) == 200
+    for state in states:
+        q_g = rng.uniform(surrogate47.q_lo, surrogate47.q_hi)
+        assert_matches_reference(surrogate47, *injection_vectors(surrogate47, state, q_g))
+
+
+@pytest.mark.parametrize("model, p, q, error, message", [
+    (single_line_model(r=0.02, x=0.01), [-30.0], [-30.0], Diverged,
+     "iterate left the finite range at sweep"),
+    (single_line_model(r=0.02, x=0.01), [-12.0], [1.0], Diverged,
+     "no fixed point after 200 sweeps"),
+    (chain_model(5), [-3.0] * 5, [-1.5] * 5, NumericalError,
+     "voltage collapsed to zero during the sweep"),
+], ids=["overflow", "no-fixed-point", "voltage-collapse"])
+def test_failures_match_reference_sweep(model, p, q, error, message):
+    p, q = np.array(p), np.array(q)
+    with pytest.raises(error) as got:
+        solve_power_flow(model, p, q)
+    with pytest.raises(error) as want:
+        solve_power_flow_reference(model, p, q)
+    assert type(got.value) is type(want.value) is error
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(message)
+

@@ -15,7 +15,13 @@ from conftest import mu_sigma, single_line_model
 from oracles import dmu_expectation_quad, training_reference
 from voltcraft.baseline import grid_search_oracle, solve_baseline
 from voltcraft.data import SynthesisProfile, synthesize_timeseries
-from voltcraft.errors import DimensionMismatch, NonFiniteGradient, NumericalError
+from voltcraft import policy, trainer
+from voltcraft.errors import (
+    DimensionMismatch,
+    NonFiniteGradient,
+    NumericalError,
+    OutOfSupport,
+)
 from voltcraft.network import GridState
 from voltcraft.policy import (
     PolicyModel,
@@ -27,6 +33,7 @@ from voltcraft.policy import (
 )
 from voltcraft.powerflow import evaluate_loss
 from voltcraft.trainer import (
+    TRACE_CAPACITY,
     LossTrace,
     OptState,
     TrainConfig,
@@ -95,8 +102,9 @@ def make_records(n, loss, seed=0):
     s = GridState(p=arr(-0.05), q_c=arr(0.03))
     out = []
     for _ in range(n):
-        q = sample(policy_distribution(pol, s), rng)
-        out.append((grad_log_prob(pol, s, q), loss))
+        dist = policy_distribution(pol, s)
+        q = sample(dist, rng)
+        out.append((grad_log_prob(pol, dist, q), loss))
     return out
 
 
@@ -238,8 +246,9 @@ def pilot_records():
     n = PILOT["chunks"] * PILOT["chunk_size"]
     records = []
     for _ in range(n):
-        q = sample(policy_distribution(pol, s), rng)
-        records.append((grad_log_prob(pol, s, q), float((q[0] - PILOT["c"]) ** 2)))
+        dist = policy_distribution(pol, s)
+        q = sample(dist, rng)
+        records.append((grad_log_prob(pol, dist, q), float((q[0] - PILOT["c"]) ** 2)))
     return pol, s, records
 
 
@@ -377,6 +386,41 @@ def test_failed_power_flow_names_its_record(feeder6):
                r"voltage collapsed")
     with pytest.raises(NumericalError, match=pattern):
         run_training(feeder6, states, TrainConfig(epochs=1, seed=0), hidden=(4,))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_sample_out_of_the_box_names_its_record(monkeypatch, bad):
+    # `python -O` strips an assert; the box check must raise all the same
+    net, states = small_setup()
+    calls = []
+
+    def leaky_sample(dist, rng):
+        calls.append(None)
+        q = sample(dist, rng)
+        return q + bad if len(calls) == 6 else q
+
+    monkeypatch.setattr(trainer, "sample", leaky_sample)
+    pattern = (r"^aborted at update 2, record 5 \(state \d, timestamp \d+\): "
+               r"sampled setpoint leaves the box$")
+    with pytest.raises(OutOfSupport, match=pattern):
+        run_training(net, states, TrainConfig(batch_size=2, epochs=3, seed=0),
+                     hidden=(4,))
+
+
+def test_one_forward_pass_per_record(monkeypatch):
+    # sampling and the score gradient share the forward pass of each record
+    net, states = small_setup()
+    layers, calls = policy._layers, []
+
+    def counted(model, s):
+        calls.append(None)
+        return layers(model, s)
+
+    monkeypatch.setattr(policy, "_layers", counted)
+    _, trace, _ = run_training(net, states, TrainConfig(batch_size=2, epochs=7, seed=3),
+                               hidden=(4,))
+    assert len(trace) == 21
+    assert len(calls) == 21
 
 
 def test_input_stats_stored_from_training_set():
@@ -526,6 +570,21 @@ def test_compare_to_baseline_per_state_arrays(feeder6):
 
 
 # -- trace and manifests ---------------------------------------------------
+
+
+@pytest.mark.parametrize("window", [1, 7, 200])
+def test_trace_running_average_is_the_window_mean(window):
+    # 2,100 records cross the buffer's growths at 256, 512, 1,024 and 2,048;
+    # losses spread over many magnitudes make the summation order show
+    assert 8 * TRACE_CAPACITY < 2100
+    rng = np.random.default_rng(window)
+    raw = (rng.lognormal(0.0, 4.0, 2100) * rng.choice([-1.0, 1.0], 2100)).tolist()
+    trace = LossTrace(window=window)
+    for loss in raw:
+        trace.append(loss, True)
+    assert trace.raw == raw
+    for i in range(len(raw)):
+        assert trace.running_avg[i] == np.mean(raw[max(0, i - window + 1) : i + 1])
 
 
 def test_trace_rows_structure():
